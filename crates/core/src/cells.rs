@@ -75,8 +75,8 @@ impl CellSpec {
         h.finish()
     }
 
-    /// Runs the cell: scales `structures` to this cell's clock (memoized
-    /// machine-wide) and simulates `arena` on the selected core.
+    /// Runs the cell: scales `structures` to this cell's clock and
+    /// simulates `arena` on the selected core.
     ///
     /// `arena` must be a trace of this cell's profile at this cell's seed;
     /// callers that cache arenas key them by `(profile, seed, len)`.

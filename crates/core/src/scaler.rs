@@ -69,75 +69,29 @@ pub struct ScaledMachine {
     pub config: CoreConfig,
 }
 
-/// Memo key for [`ScaledMachine::at`]: every input that feeds the scaling,
-/// with floats compared bitwise (scaling is a pure function of them).
-#[derive(PartialEq, Eq, Hash)]
-struct AtKey {
-    bits: [u64; 14],
-}
-
-impl AtKey {
-    fn of(s: &StructureSet, t_useful: Fo4, overhead: Fo4) -> Self {
-        Self {
-            bits: [
-                s.icache.get().to_bits(),
-                s.dcache.get().to_bits(),
-                s.l2.get().to_bits(),
-                s.predictor.get().to_bits(),
-                s.rename.get().to_bits(),
-                s.issue_window.get().to_bits(),
-                s.regfile.get().to_bits(),
-                s.memory.get().to_bits(),
-                s.dcache_capacity,
-                s.l2_capacity,
-                s.predictor_entries,
-                u64::from(s.window_entries),
-                t_useful.get().to_bits(),
-                overhead.get().to_bits(),
-            ],
-        }
-    }
-}
-
-/// Cache behind [`ScaledMachine::at`]: the depth-sweep figures (4, 6, 7)
-/// re-derive identical scalings per (structures, clock, overhead) triple,
-/// so one computation per triple serves every sweep in the process.
-static AT_CACHE: std::sync::OnceLock<
-    std::sync::Mutex<std::collections::HashMap<AtKey, ScaledMachine>>,
-> = std::sync::OnceLock::new();
-
 impl ScaledMachine {
     /// Scales the machine with `structures` to the clock
     /// `t_useful + overhead`, with the §4 base capacities in the core
     /// (32-entry window, 80-entry ROB, 4-wide).
     ///
-    /// Memoized on (structures, `t_useful`, `overhead`): repeated calls
-    /// with the same inputs return a clone of the first result.
+    /// Computed afresh on every call. Scaling is a handful of latency
+    /// quantizations, cheaper than a shared memo's lock and hash, and
+    /// keeping nothing means a long-lived daemon's memory does not grow
+    /// with the number of distinct clock points it simulates.
     ///
     /// # Panics
     ///
     /// Panics if `t_useful` is zero.
     #[must_use]
     pub fn at(structures: &StructureSet, t_useful: Fo4, overhead: Fo4) -> Self {
-        let key = AtKey::of(structures, t_useful, overhead);
-        let cache =
-            AT_CACHE.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()));
-        if let Some(hit) = cache.lock().expect("scaler cache lock").get(&key) {
-            return hit.clone();
-        }
-        let machine = Self::with_options(
+        Self::with_options(
             structures,
             t_useful,
             ScaleOptions {
                 overhead,
                 ..ScaleOptions::default()
             },
-        );
-        cache
-            .lock()
-            .expect("scaler cache lock")
-            .insert(key, machine.clone());
-        machine
+        )
     }
 
     /// [`ScaledMachine::at`] with an explicit window capacity (the §4.5

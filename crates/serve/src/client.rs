@@ -253,6 +253,9 @@ impl Connection {
             .next()
             .ok_or_else(|| protocol_error(format!("{addr} resolves to no address")))?;
         let stream = TcpStream::connect_timeout(&resolved, connect_timeout)?;
+        // Requests leave in one write each; with Nagle's algorithm on, a
+        // kept-alive exchange could wait out the server's delayed ACK.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(io_timeout))?;
         stream.set_write_timeout(Some(io_timeout))?;
         Ok(Self {
@@ -284,18 +287,20 @@ impl Connection {
         if !self.buf.is_empty() {
             return Err(protocol_error("previous response body was not fully read"));
         }
-        let mut head = format!("{method} {path} HTTP/1.1\r\nhost: fo4depth\r\n");
+        let mut message = format!("{method} {path} HTTP/1.1\r\nhost: fo4depth\r\n");
         if method == "POST" || !body.is_empty() {
-            head.push_str("content-type: application/json\r\n");
-            head.push_str(&format!("content-length: {}\r\n", body.len()));
+            message.push_str("content-type: application/json\r\n");
+            message.push_str(&format!("content-length: {}\r\n", body.len()));
         }
-        head.push_str(if keep_alive {
+        message.push_str(if keep_alive {
             "connection: keep-alive\r\n\r\n"
         } else {
             "connection: close\r\n\r\n"
         });
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
+        // Head and body leave in one write.
+        let mut message = message.into_bytes();
+        message.extend_from_slice(body);
+        self.stream.write_all(&message)?;
         self.stream.flush()?;
         self.read_head()
     }
@@ -705,6 +710,15 @@ mod tests {
         .expect_err("injected refuse");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         assert_eq!(faults.injected(), 1);
+    }
+
+    #[test]
+    fn connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let conn = Connection::connect(&addr, Duration::from_secs(5), Duration::from_secs(5))
+            .expect("connect");
+        assert!(conn.stream.nodelay().expect("nodelay"));
     }
 
     #[test]

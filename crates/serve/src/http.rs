@@ -236,14 +236,14 @@ pub fn read_request(
 }
 
 /// Reads up to the `\r\n\r\n` head terminator, capped at
-/// [`MAX_HEAD_BYTES`]. Any body bytes the peer pipelined behind the head
-/// are pushed back by returning them to the caller — we read one byte at
-/// a time, so nothing past the terminator is consumed. (A request head is
-/// a few hundred bytes; per-byte reads from the kernel buffer are not a
-/// bottleneck against multi-millisecond simulations.)
+/// [`MAX_HEAD_BYTES`]. Each step peeks at whatever the socket holds and
+/// then consumes only the bytes up to and including the terminator, so a
+/// body the peer sent behind the head stays queued in the socket for the
+/// body read. One step costs one peek and one read however many head
+/// bytes arrived together, and each step re-checks the deadline, so a
+/// peer trickling the head a byte at a time still trips it.
 fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>, HttpError> {
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
+    let mut head = Vec::with_capacity(MAX_HEAD_BYTES + 1);
     // Until the first byte arrives there is no request: a close, timeout,
     // or spent deadline on an empty head is the peer going away (or a
     // kept-alive connection idling out), reported as `CLOSED`, never as a
@@ -253,9 +253,13 @@ fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>, Htt
         if let Err(e) = deadline.check(stream) {
             return Err(if head.is_empty() { closed() } else { e });
         }
-        match stream.read(&mut byte) {
+        let old = head.len();
+        // Never look past one byte over the cap: a head that has not
+        // ended by then is rejected whatever follows.
+        head.resize(MAX_HEAD_BYTES + 1, 0);
+        match stream.peek(&mut head[old..]) {
             Ok(0) => {
-                if head.is_empty() {
+                if old == 0 {
                     return Err(closed());
                 }
                 return Err(HttpError::new(
@@ -264,10 +268,22 @@ fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>, Htt
                     "connection closed mid-head",
                 ));
             }
-            Ok(_) => {
-                head.push(byte[0]);
-                if head.ends_with(b"\r\n\r\n") {
-                    head.truncate(head.len() - 4);
+            Ok(n) => {
+                // The terminator may straddle the previous step's bytes.
+                let from = old.saturating_sub(3);
+                let end = head[from..old + n]
+                    .windows(4)
+                    .position(|w| w == b"\r\n\r\n")
+                    .map(|i| from + i + 4);
+                let taken = end.unwrap_or(old + n);
+                head.truncate(taken);
+                // The peeked bytes are already queued, so this read
+                // cannot block; it rewrites them in place.
+                if let Err(e) = stream.read_exact(&mut head[old..]) {
+                    return Err(deadline.read_error("head read", &e));
+                }
+                if end.is_some() {
+                    head.truncate(taken - 4);
                     return Ok(head);
                 }
                 if head.len() > MAX_HEAD_BYTES {
@@ -279,7 +295,7 @@ fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>, Htt
                 }
             }
             Err(e) => {
-                if head.is_empty() {
+                if old == 0 {
                     return Err(closed());
                 }
                 return Err(deadline.read_error("head read", &e));
@@ -307,11 +323,40 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Renders a response head: the status line, the fixed headers, the
+/// caller's extra headers and the blank line. `content_length` of `None`
+/// declares a chunked body instead.
+fn response_head(
+    status: u16,
+    content_type: &str,
+    content_length: Option<usize>,
+    extra_headers: &[(&str, &str)],
+    keep_alive: bool,
+) -> Vec<u8> {
+    let framing = match content_length {
+        Some(n) => format!("content-length: {n}"),
+        None => "transfer-encoding: chunked".to_string(),
+    };
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n{framing}\r\nconnection: {}\r\n",
+        reason(status),
+        if keep_alive { "keep-alive" } else { "close" }
+    );
+    for (name, value) in extra_headers {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+    head.into_bytes()
+}
+
 /// Writes one JSON response and flushes, closing the connection after.
 /// Errors are swallowed: the peer may have gone away, and the worker's
 /// next action is closing the connection either way.
-pub fn write_response(
-    stream: &mut TcpStream,
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &[u8],
@@ -323,28 +368,26 @@ pub fn write_response(
 /// response says `connection: keep-alive` when `keep_alive`, telling the
 /// peer the socket stays open for another request after this
 /// content-length delimited body.
-pub fn write_response_conn(
-    stream: &mut TcpStream,
+///
+/// Head and body leave in one write. Two writes on a kept-alive socket
+/// would let Nagle's algorithm hold the body back until the peer's
+/// delayed ACK for the head.
+pub fn write_response_conn<W: Write>(
+    stream: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &[u8],
     keep_alive: bool,
 ) {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" }
+    let mut message = response_head(
+        status,
+        "application/json",
+        Some(body.len()),
+        extra_headers,
+        keep_alive,
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
+    message.extend_from_slice(body);
+    let _ = stream.write_all(&message);
     let _ = stream.flush();
 }
 
@@ -360,20 +403,22 @@ pub fn write_response_conn(
 /// unambiguously truncated to the peer (unlike a `Connection: close`
 /// body, a chunked stream has an explicit end marker).
 ///
+/// Every frame (the head, each chunk, the terminator) leaves in one write.
+///
 /// Write failures are sticky: after the first, every subsequent call is a
 /// cheap no-op and [`failed`](Self::failed) reports it, so callers can
 /// stop producing for a peer that went away.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+pub struct ChunkedWriter<'a, W: Write = TcpStream> {
+    stream: &'a mut W,
     chunks: u64,
     failed: bool,
 }
 
-impl<'a> ChunkedWriter<'a> {
+impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Writes the response head and returns the writer. The head carries
     /// `transfer-encoding: chunked` instead of `content-length`;
     /// everything else matches [`write_response`].
-    pub fn start(stream: &'a mut TcpStream, status: u16, extra_headers: &[(&str, &str)]) -> Self {
+    pub fn start(stream: &'a mut W, status: u16, extra_headers: &[(&str, &str)]) -> Self {
         Self::start_conn(stream, status, extra_headers, "application/json", false)
     }
 
@@ -382,25 +427,14 @@ impl<'a> ChunkedWriter<'a> {
     /// chunked body exactly, so a kept-alive connection is reusable the
     /// moment [`finish`](Self::finish) succeeds.
     pub fn start_conn(
-        stream: &'a mut TcpStream,
+        stream: &'a mut W,
         status: u16,
         extra_headers: &[(&str, &str)],
         content_type: &str,
         keep_alive: bool,
     ) -> Self {
-        let mut head = format!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n",
-            reason(status),
-            if keep_alive { "keep-alive" } else { "close" }
-        );
-        for (name, value) in extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let failed = stream.write_all(head.as_bytes()).is_err() || stream.flush().is_err();
+        let head = response_head(status, content_type, None, extra_headers, keep_alive);
+        let failed = stream.write_all(&head).is_err() || stream.flush().is_err();
         Self {
             stream,
             chunks: 0,
@@ -415,11 +449,10 @@ impl<'a> ChunkedWriter<'a> {
         if self.failed || data.is_empty() {
             return !self.failed;
         }
-        let frame = format!("{:x}\r\n", data.len());
-        self.failed = self.stream.write_all(frame.as_bytes()).is_err()
-            || self.stream.write_all(data).is_err()
-            || self.stream.write_all(b"\r\n").is_err()
-            || self.stream.flush().is_err();
+        let mut frame = format!("{:x}\r\n", data.len()).into_bytes();
+        frame.extend_from_slice(data);
+        frame.extend_from_slice(b"\r\n");
+        self.failed = self.stream.write_all(&frame).is_err() || self.stream.flush().is_err();
         if !self.failed {
             self.chunks += 1;
         }
@@ -464,7 +497,7 @@ pub fn error_body(code: &str, message: &str) -> String {
 }
 
 /// Writes an [`HttpError`] as a structured response.
-pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
+pub fn write_error<W: Write>(stream: &mut W, err: &HttpError) {
     write_response(
         stream,
         err.status,
@@ -585,6 +618,91 @@ mod tests {
         );
         drop(server_side);
         drop(client.join().expect("client"));
+    }
+
+    #[test]
+    fn head_split_inside_its_terminator_leaves_the_body_in_the_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // The head ends mid-terminator in one segment; the next segment
+        // carries the terminator's last byte, then the body, then a second
+        // pipelined request.
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.set_nodelay(true).expect("nodelay");
+            s.write_all(b"POST /v1/run HTTP/1.1\r\nContent-Length: 4\r\n\r")
+                .expect("send");
+            std::thread::sleep(Duration::from_millis(50));
+            s.write_all(b"\n{\"a\"GET /metrics HTTP/1.1\r\n\r\n")
+                .expect("send");
+            s
+        });
+        let (mut server_side, _) = listener.accept().expect("accept");
+        server_side
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .expect("timeout");
+        let first = read_request(&mut server_side, 1024, Duration::from_secs(5)).expect("first");
+        assert_eq!(first.path, "/v1/run");
+        assert_eq!(first.body, b"{\"a\"");
+        let second = read_request(&mut server_side, 1024, Duration::from_secs(5)).expect("second");
+        assert_eq!(second.method, "GET");
+        assert_eq!(second.path, "/metrics");
+        drop(client.join().expect("client"));
+    }
+
+    /// A sink that takes every buffer whole and counts the calls, so each
+    /// `write_all` on it is exactly one counted `write`.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_buffered_response_leaves_in_one_write() {
+        let mut sink = CountingSink::default();
+        write_response_conn(&mut sink, 429, &[("retry-after", "1")], b"{}", true);
+        assert_eq!(sink.writes, 1);
+        assert_eq!(
+            sink.bytes,
+            b"HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+              content-length: 2\r\nconnection: keep-alive\r\nretry-after: 1\r\n\r\n{}"
+        );
+    }
+
+    #[test]
+    fn each_chunk_leaves_in_one_write() {
+        let mut sink = CountingSink::default();
+        let mut writer =
+            ChunkedWriter::start_conn(&mut sink, 200, &[], "application/octet-stream", false);
+        assert!(writer.chunk(b"hello"));
+        assert!(writer.chunk(b""), "an empty fragment is skipped");
+        assert!(writer.chunk(&[b'x'; 26]));
+        assert_eq!(writer.finish(), (2, true));
+        // Head, two chunks, terminator.
+        assert_eq!(sink.writes, 4);
+        let expected = [
+            b"HTTP/1.1 200 OK\r\ncontent-type: application/octet-stream\r\n\
+              transfer-encoding: chunked\r\nconnection: close\r\n\r\n"
+                .as_slice(),
+            b"5\r\nhello\r\n",
+            b"1a\r\nxxxxxxxxxxxxxxxxxxxxxxxxxx\r\n",
+            b"0\r\n\r\n",
+        ]
+        .concat();
+        assert_eq!(sink.bytes, expected);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod store;
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -157,9 +157,73 @@ mod sig {
     pub fn install() {}
 }
 
+/// Longest the accept loop waits for a connection before it looks at the
+/// shutdown flags again — the same bound as a worker's queue wait. It
+/// bounds how late a signal is seen; a [`ShutdownHandle`] wakes the loop
+/// at once.
+const ACCEPT_WAIT: Duration = Duration::from_millis(100);
+
+#[cfg(unix)]
+mod readiness {
+    use std::net::TcpListener;
+    use std::os::unix::io::AsRawFd;
+    use std::time::Duration;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 1;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+    }
+
+    /// Blocks until `listener` has a pending connection or `timeout`
+    /// passes. A signal cuts the wait short (`poll(2)` is never
+    /// restarted), and any wake-up is only a hint: the caller's
+    /// nonblocking `accept` decides.
+    pub fn wait(listener: &TcpListener, timeout: Duration) {
+        let mut fd = PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: one valid, exclusively borrowed `pollfd` for the length
+        // of the call; `poll(2)` writes only its `revents`.
+        unsafe {
+            poll(&mut fd, 1, ms);
+        }
+    }
+}
+
+#[cfg(not(unix))]
+mod readiness {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    /// No `poll(2)` off unix: a short sleep between nonblocking accepts.
+    pub fn wait(_listener: &TcpListener, timeout: Duration) {
+        std::thread::sleep(timeout.min(Duration::from_millis(5)));
+    }
+}
+
 /// Shared server state: the engine, the bounded queue, and the counters.
 struct State {
     config: ServeConfig,
+    /// A dialable address of the listener, for [`ShutdownHandle`]'s
+    /// wake-up connection.
+    wake_addr: SocketAddr,
     engine: Engine,
     metrics: RequestMetrics,
     queue: Mutex<VecDeque<TcpStream>>,
@@ -187,6 +251,10 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.queue_cv.notify_all();
+        // A throwaway connection ends the accept loop's readiness wait,
+        // so the flag is seen now rather than after `ACCEPT_WAIT`.
+        // Best-effort: a server that is not running never accepts it.
+        let _ = TcpStream::connect_timeout(&self.state.wake_addr, ACCEPT_WAIT);
     }
 }
 
@@ -204,11 +272,19 @@ impl Server {
     /// Returns the bind error (address in use, permission, …).
     pub fn bind(config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let engine = build_engine(&config)?;
         Ok(Self {
             listener,
             state: Arc::new(State {
                 config,
+                wake_addr,
                 engine,
                 metrics: RequestMetrics::new(),
                 queue: Mutex::new(VecDeque::new()),
@@ -225,7 +301,7 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket query error.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -246,8 +322,11 @@ impl Server {
     /// as error responses, not propagated.
     pub fn run(self) -> io::Result<()> {
         sig::install();
-        // Nonblocking accept so the loop can poll the shutdown flag; a
-        // pure blocking accept would pin us until the next connection.
+        // The loop blocks in `poll(2)` until a connection is pending, at
+        // most `ACCEPT_WAIT`, so a new connection is taken at once and a
+        // signal is still seen promptly (a `ShutdownHandle` dials in to
+        // end the wait). The listener stays nonblocking: a wake-up with
+        // nothing to accept just loops.
         self.listener.set_nonblocking(true)?;
 
         // Router mode: a prober thread keeps the per-shard liveness
@@ -293,7 +372,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => enqueue(&self.state, stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    readiness::wait(&self.listener, ACCEPT_WAIT);
                 }
                 Err(_) => {
                     // Transient accept failure (e.g. aborted handshake).
@@ -359,6 +438,9 @@ pub fn build_engine(config: &ServeConfig) -> io::Result<Engine> {
 
 /// Admits a connection into the bounded queue or sheds it with `429`.
 fn enqueue(state: &Arc<State>, stream: TcpStream) {
+    // Every response leaves in whole messages; Nagle's algorithm would
+    // only hold the last segment of one back for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.config.io_timeout));
     let _ = stream.set_write_timeout(Some(state.config.io_timeout));
     let mut queue = state.queue.lock().expect("queue lock");
@@ -512,18 +594,18 @@ fn handle_sweep(
     let body = state.engine.sweep_body(&req, true, &mut |frag| {
         writer.chunk(frag.as_bytes());
     });
-    let delivered = !writer.failed();
-    // Count the finished stream before the terminator goes out: the
-    // instant the peer sees the end of the stream it may query /metrics,
-    // and the completed stream must already be visible there.
+    // Count the finished stream and warm the response tier before the
+    // terminator goes out: the instant the peer sees the end of the
+    // stream it may query /metrics or send the buffered twin, and both
+    // must already see the completed stream.
     state.engine.sweeps.record_stream(writer.chunks());
-    let (_, finished) = writer.finish();
-    if delivered {
+    if !writer.failed() {
         state
             .engine
             .responses
             .insert(req.fingerprint("sweep"), Arc::new(body));
     }
+    let (_, finished) = writer.finish();
     (200, keep && finished)
 }
 
@@ -562,17 +644,17 @@ fn handle_yield(
     let body = state.engine.yield_body(&req, true, &mut |frag| {
         writer.chunk(frag.as_bytes());
     });
-    let delivered = !writer.failed();
-    // Same ordering as `handle_sweep`: record before the terminator so a
-    // peer that races straight to /metrics sees the finished stream.
+    // Same ordering as `handle_sweep`: record and cache before the
+    // terminator, so a peer that races straight to /metrics or to the
+    // buffered twin sees the finished stream.
     state.engine.yields.record_stream(writer.chunks());
-    let (_, finished) = writer.finish();
-    if delivered {
+    if !writer.failed() {
         state
             .engine
             .responses
             .insert(req.fingerprint(), Arc::new(body));
     }
+    let (_, finished) = writer.finish();
     (200, keep && finished)
 }
 
@@ -853,4 +935,60 @@ fn metrics_body(state: &State) -> String {
     }
     doc.push(("endpoints", state.metrics.to_json()));
     Json::obj(doc).pretty()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bound_at(addr: &str) -> Server {
+        Server::bind(ServeConfig {
+            addr: addr.to_string(),
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port")
+    }
+
+    fn bound() -> Server {
+        bound_at("127.0.0.1:0")
+    }
+
+    #[test]
+    fn admitted_connections_disable_nagle() {
+        let server = bound();
+        let _client = TcpStream::connect(server.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = server.listener.accept().expect("accept");
+        enqueue(&server.state, accepted);
+        let queued = server
+            .state
+            .queue
+            .lock()
+            .expect("queue lock")
+            .pop_front()
+            .expect("admitted");
+        assert!(queued.nodelay().expect("nodelay"));
+    }
+
+    #[test]
+    fn the_accept_wait_ends_when_a_connection_is_pending() {
+        let server = bound();
+        server.listener.set_nonblocking(true).expect("nonblocking");
+        let _client = TcpStream::connect(server.local_addr().expect("addr")).expect("connect");
+        let started = Instant::now();
+        readiness::wait(&server.listener, Duration::from_secs(30));
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert!(server.listener.accept().is_ok(), "the wake-up was real");
+    }
+
+    #[test]
+    fn shutdown_dials_the_listener_to_end_the_accept_wait() {
+        // Bound to the unspecified address, the wake-up dials loopback.
+        let server = bound_at("0.0.0.0:0");
+        server.listener.set_nonblocking(true).expect("nonblocking");
+        server.shutdown_handle().shutdown();
+        let started = Instant::now();
+        readiness::wait(&server.listener, Duration::from_secs(30));
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert!(server.listener.accept().is_ok(), "the handle dialled in");
+    }
 }

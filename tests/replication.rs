@@ -45,11 +45,21 @@ fn start_replicated(shards: &[&TestServer], replication: usize) -> TestServer {
 /// Asserts every routed mode (dense, adaptive, streamed, yield) matches
 /// the single-node oracle byte for byte.
 fn assert_all_modes_identical(context: &str, router: SocketAddr, single: SocketAddr) {
+    assert_dense_identical(context, router, single);
+    assert_later_modes_identical(context, router, single);
+}
+
+/// The dense sweep of [`assert_all_modes_identical`].
+fn assert_dense_identical(context: &str, router: SocketAddr, single: SocketAddr) {
     let routed = post(router, "/v1/sweep", DENSE);
     let local = post(single, "/v1/sweep", DENSE);
     assert_eq!(routed.status, 200, "{context}: body: {}", routed.body);
     assert_eq!(routed.body, local.body, "{context}: dense diverged");
+}
 
+/// The adaptive, streamed and yield sweeps of
+/// [`assert_all_modes_identical`].
+fn assert_later_modes_identical(context: &str, router: SocketAddr, single: SocketAddr) {
     let routed = post(router, "/v1/sweep", ADAPTIVE);
     let local = post(single, "/v1/sweep", ADAPTIVE);
     assert_eq!(routed.status, 200, "{context}: body: {}", routed.body);
@@ -77,17 +87,11 @@ fn replicated_tier_survives_a_dead_shard_and_injected_faults_byte_identically() 
     let shard_c = start(ServeConfig::default());
     let single = start(ServeConfig::default());
 
-    // Scripted network-fault schedule on the scatter path: the first
-    // dial is refused, then reads hit a mid-body hang, a truncated
-    // chunk, and a garbage frame. Every fault must be healed by retry
-    // or failover without touching response bytes.
+    // Scripted network-fault schedule on the scatter path: a refused
+    // dial, then reads that hit a mid-body hang, a truncated chunk, and
+    // a garbage frame. Every fault must be healed by retry or failover
+    // without touching response bytes.
     let faults = ScriptedNetFaults::new();
-    faults.script_connect(Some(InjectedNetFault::Refuse));
-    faults.script_read(Some(InjectedNetFault::Hang));
-    faults.script_read(None);
-    faults.script_read(Some(InjectedNetFault::Truncate));
-    faults.script_read(None);
-    faults.script_read(Some(InjectedNetFault::Garbage));
 
     let mut config = ServeConfig {
         shards: vec![
@@ -99,10 +103,23 @@ fn replicated_tier_survives_a_dead_shard_and_injected_faults_byte_identically() 
     };
     config.upstream.replication = 2;
     config.upstream.net_fault = Arc::clone(&faults) as Arc<_>;
+    // The scatter groups of one request run concurrently and draw from
+    // the one script, so any group may draw every fault scripted ahead
+    // of its request. Two at a time is what the default budget must
+    // heal whichever group draws them.
+    assert!(config.upstream.retries >= 2, "two faults per request");
     let router = start(config);
 
-    // Phase 1: faults firing, all shards alive.
-    assert_all_modes_identical("faulted tier", router.addr, single.addr);
+    // Phase 1: faults firing, all shards alive. The cold dense sweep
+    // takes the refused dial and the hang; the later modes (the yield
+    // sweep is cold) take the truncation and the garbage frame.
+    faults.script_connect(Some(InjectedNetFault::Refuse));
+    faults.script_read(Some(InjectedNetFault::Hang));
+    assert_dense_identical("faulted tier", router.addr, single.addr);
+    assert_eq!(faults.injected(), 2, "first fault pair consumed");
+    faults.script_read(Some(InjectedNetFault::Truncate));
+    faults.script_read(Some(InjectedNetFault::Garbage));
+    assert_later_modes_identical("faulted tier", router.addr, single.addr);
     assert_eq!(faults.injected(), 4, "full fault schedule consumed");
 
     // Phase 2: kill one replica outright; the other replica of every
