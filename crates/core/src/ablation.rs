@@ -107,7 +107,7 @@ pub fn scheduler_comparison(profiles: &[BenchProfile], params: &SimParams) -> Ve
     let ipc_of = |design: SchedulerDesign| -> f64 {
         let mut cfg = CoreConfig::alpha_like();
         cfg.window = design.window();
-        let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params));
+        let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
         harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC")
     };
     let baseline = ipc_of(SchedulerDesign::IdealSingleCycle);
@@ -146,7 +146,7 @@ pub fn sweep_with_options(
         .iter()
         .map(|&t| {
             let machine = ScaledMachine::with_options(&structures, t, options);
-            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params));
+            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
             SweepPoint {
                 t_useful: t.get(),
                 period_ps: machine.period_ps(),
@@ -282,7 +282,7 @@ pub fn predictor_ablation(profiles: &[BenchProfile], params: &SimParams) -> Vec<
         .map(|(label, predictor)| {
             let mut cfg = CoreConfig::alpha_like();
             cfg.predictor = predictor;
-            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params));
+            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
             PredictorPoint {
                 label: label.to_string(),
                 ipc: harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC"),
@@ -320,7 +320,7 @@ pub fn cluster_ablation(
         .map(|&penalty| {
             let mut cfg = CoreConfig::alpha_like();
             cfg.cross_cluster_penalty = penalty;
-            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params));
+            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
             ClusterPoint {
                 penalty,
                 ipc: harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC"),
@@ -352,7 +352,7 @@ pub fn mshr_ablation(
         .map(|&mshr_limit| {
             let mut cfg = CoreConfig::alpha_like();
             cfg.hierarchy.mshr_limit = mshr_limit;
-            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params));
+            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
             MshrPoint {
                 mshr_limit,
                 ipc: harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC"),

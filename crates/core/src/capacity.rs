@@ -71,7 +71,7 @@ fn score(
 ) -> f64 {
     let machine =
         ScaledMachine::with_window_entries(&choice.structures(), t, overhead, choice.window);
-    let outcomes = run_set(arenas, |a| run_ooo(&machine.config, a, params));
+    let outcomes = run_set(arenas, |a| run_ooo(&machine.config, a, params, false));
     summarize(&outcomes, None, machine.period_ps())
         .expect("non-empty profile set")
         .bips
@@ -230,7 +230,7 @@ pub fn capacity_study_with(
         let choice = optimize_at_arenas(t, overhead, &arenas, params);
         let machine =
             ScaledMachine::with_window_entries(&choice.structures(), t, overhead, choice.window);
-        let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params));
+        let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
         optimized_points.push(SweepPoint {
             t_useful: t.get(),
             period_ps: machine.period_ps(),

@@ -8,12 +8,12 @@
 //! what-if queries: same benchmarks, overlapping clock points) share the
 //! cached work instead of re-simulating it.
 //!
-//! This module defines the cell ([`CellSpec`]), its fingerprint, the single
-//! code path that executes it ([`CellSpec::run`] — also the engine behind
-//! [`depth_sweep_arenas`](crate::sweep::depth_sweep_arenas), so cached and
-//! freshly-simulated sweeps are bit-identical by construction), and the
-//! reassembly of per-cell outcomes into a [`DepthSweep`]
-//! ([`assemble_sweep`]).
+//! This module defines the cell ([`CellSpec`]), its fingerprint, how it
+//! executes ([`CellSpec::run`], [`run_cell_group`] — through the same grid
+//! dispatch as [`depth_sweep_arenas`](crate::sweep::depth_sweep_arenas),
+//! so cached and freshly-simulated sweeps are bit-identical by
+//! construction), and the reassembly of per-cell outcomes into a
+//! [`DepthSweep`] ([`assemble_sweep`]).
 
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ use fo4depth_workload::{BenchProfile, TraceArena};
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
 use crate::sim::{BenchOutcome, SimParams};
-use crate::sweep::{run_grid_cell, run_grid_group, CoreKind, DepthSweep, SweepPoint};
+use crate::sweep::{run_grid_group, CoreKind, DepthSweep, SweepPoint};
 
 /// Fingerprint-schema version: folded into every digest, bumped whenever a
 /// simulation change makes previously cached outcomes stale.
@@ -84,21 +84,24 @@ impl CellSpec {
     pub fn run(&self, structures: &StructureSet, arena: &Arc<TraceArena>) -> BenchOutcome {
         debug_assert_eq!(arena.profile().name, self.profile.name, "arena mismatch");
         let machine = ScaledMachine::at(structures, self.t_useful, self.overhead);
-        run_grid_cell(
+        run_grid_group(
             self.core,
             self.observed,
-            &machine.config,
+            &[&machine.config],
             arena,
             &self.params,
         )
+        .pop()
+        .expect("one outcome per cell")
     }
 }
 
-/// Runs a group of cells that differ only in clock point as one
-/// lane-parallel batch over their shared arena, returning outcomes
-/// positionally. Each outcome is bit-identical to running the same cell
-/// through the scalar [`CellSpec::run`] — a batch-filled cache entry and a
-/// scalar-filled one are interchangeable.
+/// Runs a group of cells that differ only in clock point over their shared
+/// arena, returning outcomes positionally — as one lane-parallel batch for
+/// an out-of-order group of two or more, cell by cell otherwise. Each
+/// outcome is bit-identical to running the same cell through
+/// [`CellSpec::run`] — a batch-filled cache entry and a per-cell one are
+/// interchangeable.
 ///
 /// # Panics
 ///

@@ -51,7 +51,7 @@ pub fn cray_memory_sweep_with(
             let mut machine = ScaledMachine::at(&structures, t, overhead);
             let mem_cycles = cycles_for(Fo4::new(CRAY_MEMORY_FO4), t);
             machine.config.hierarchy = HierarchyConfig::flat_memory(u64::from(mem_cycles));
-            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params));
+            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
             SweepPoint {
                 t_useful: t.get(),
                 period_ps: machine.period_ps(),

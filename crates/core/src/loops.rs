@@ -122,7 +122,7 @@ pub fn critical_loops_with(
     let arenas = arenas_for(profiles, params);
 
     let mean_ipc = |cfg: &CoreConfig| -> f64 {
-        let outcomes = run_set(&arenas, |a| run_ooo(cfg, a, params));
+        let outcomes = run_set(&arenas, |a| run_ooo(cfg, a, params, false));
         harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPCs")
     };
     let baseline = mean_ipc(&base);

@@ -119,7 +119,7 @@ pub fn power_sweep(
         .iter()
         .map(|&t| {
             let machine = ScaledMachine::at(&structures, t, Fo4::new(1.8));
-            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params));
+            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
 
             // Per-benchmark energy/instruction, then aggregate.
             let mut epi_pj = Vec::new();

@@ -52,7 +52,7 @@ fn class_ipc(
     if selected.is_empty() {
         return None;
     }
-    let outcomes = run_set(&selected, |a| run_ooo(cfg, a, params));
+    let outcomes = run_set(&selected, |a| run_ooo(cfg, a, params, false));
     harmonic_mean(outcomes.iter().map(|o| o.result.ipc()))
 }
 

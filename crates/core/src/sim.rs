@@ -10,11 +10,14 @@
 
 use std::sync::Arc;
 
+use fo4depth_isa::Instruction;
 use fo4depth_pipeline::{
     CoreConfig, Counters, FetchPlan, InOrderCore, OutOfOrderCore, SimResult, WindowConfig,
 };
+use fo4depth_uarch::cache::Hierarchy;
+use fo4depth_uarch::window::WindowModel;
 use fo4depth_util::harmonic_mean;
-use fo4depth_workload::{BenchClass, BenchProfile, SharedTrace, TraceArena};
+use fo4depth_workload::{BenchClass, BenchProfile, SharedCursor, SharedTrace, TraceArena};
 use serde::{Deserialize, Serialize};
 
 /// Committed instructions per lane-advance step of a batched run. Lanes of
@@ -119,74 +122,53 @@ pub struct BenchOutcome {
     pub counters: Option<Counters>,
 }
 
-/// Runs one materialized trace on the out-of-order core.
+/// Runs one materialized trace on the out-of-order core. With `observe`,
+/// stall-attribution counters are collected over the measured interval;
+/// observation is read-only, so `result` is the same either way.
 #[must_use]
-pub fn run_ooo(cfg: &CoreConfig, trace: &Arc<TraceArena>, params: &SimParams) -> BenchOutcome {
-    run_ooo_inner(cfg, trace, params, false)
-}
-
-/// Runs one materialized trace on the out-of-order core with
-/// stall-attribution counters collected over the measured interval.
-/// Observation is read-only: `result` is bit-identical to the unobserved
-/// [`run_ooo`].
-#[must_use]
-pub fn run_ooo_observed(
-    cfg: &CoreConfig,
-    trace: &Arc<TraceArena>,
-    params: &SimParams,
-) -> BenchOutcome {
-    run_ooo_inner(cfg, trace, params, true)
-}
-
-fn run_ooo_inner(
+pub fn run_ooo(
     cfg: &CoreConfig,
     trace: &Arc<TraceArena>,
     params: &SimParams,
     observe: bool,
 ) -> BenchOutcome {
-    let profile = trace.profile();
-    let (name, class) = (profile.name.clone(), profile.class);
-    let mut core = OutOfOrderCore::new(cfg.clone(), trace.cursor());
+    if matches!(cfg.window, WindowConfig::Conventional { .. }) {
+        let core = OutOfOrderCore::new_conventional(cfg.clone(), trace.cursor());
+        measure_ooo(core, trace, params, observe)
+    } else {
+        let core = OutOfOrderCore::new(cfg.clone(), trace.cursor());
+        measure_ooo(core, trace, params, observe)
+    }
+}
+
+fn measure_ooo<I, W>(
+    mut core: OutOfOrderCore<I, W>,
+    trace: &Arc<TraceArena>,
+    params: &SimParams,
+    observe: bool,
+) -> BenchOutcome
+where
+    I: Iterator<Item = Instruction>,
+    W: WindowModel,
+{
     core.prewarm(trace.prewarm_addresses().iter().copied());
     core.run(params.warmup);
     if observe {
         core.enable_counters();
     }
     let result = core.run(params.measure);
-    let counters = core.take_counters();
-    BenchOutcome {
-        name,
-        class,
-        result,
-        counters,
-    }
+    outcome(trace, result, core.take_counters())
 }
 
-/// Runs one materialized trace on the in-order core.
+/// Runs one materialized trace on the in-order core; `observe` as for
+/// [`run_ooo`].
 #[must_use]
-pub fn run_inorder(cfg: &CoreConfig, trace: &Arc<TraceArena>, params: &SimParams) -> BenchOutcome {
-    run_inorder_inner(cfg, trace, params, false)
-}
-
-/// Runs one materialized trace on the in-order core with stall-attribution
-/// counters.
-#[must_use]
-pub fn run_inorder_observed(
-    cfg: &CoreConfig,
-    trace: &Arc<TraceArena>,
-    params: &SimParams,
-) -> BenchOutcome {
-    run_inorder_inner(cfg, trace, params, true)
-}
-
-fn run_inorder_inner(
+pub fn run_inorder(
     cfg: &CoreConfig,
     trace: &Arc<TraceArena>,
     params: &SimParams,
     observe: bool,
 ) -> BenchOutcome {
-    let profile = trace.profile();
-    let (name, class) = (profile.name.clone(), profile.class);
     let mut core = InOrderCore::new(cfg.clone(), trace.cursor());
     core.prewarm(trace.prewarm_addresses().iter().copied());
     core.run(params.warmup);
@@ -194,10 +176,14 @@ fn run_inorder_inner(
         core.enable_counters();
     }
     let result = core.run(params.measure);
-    let counters = core.take_counters();
+    outcome(trace, result, core.take_counters())
+}
+
+fn outcome(trace: &TraceArena, result: SimResult, counters: Option<Counters>) -> BenchOutcome {
+    let profile = trace.profile();
     BenchOutcome {
-        name,
-        class,
+        name: profile.name.clone(),
+        class: profile.class,
         result,
         counters,
     }
@@ -213,9 +199,9 @@ fn run_inorder_inner(
 /// lanes of the batch.
 ///
 /// `configs[i]` drives lane `i`; outcomes come back positionally. Each
-/// lane's outcome is bit-identical to the scalar [`run_ooo`] /
-/// [`run_ooo_observed`] on the same inputs (the differential harness in
-/// `tests/batched_equivalence.rs` enforces this byte-for-byte).
+/// lane's outcome is bit-identical to [`run_ooo`] on the same inputs (the
+/// differential harness in `tests/batched_equivalence.rs` enforces this
+/// byte-for-byte).
 #[must_use]
 pub fn run_ooo_batched(
     configs: &[&CoreConfig],
@@ -229,94 +215,13 @@ pub fn run_ooo_batched(
     if conventional {
         // The hot configuration: monomorphize the lanes over the concrete
         // window so the per-cycle window probes inline.
-        run_batched_with(configs, trace, params, observe, |cfg, plan, shared| {
-            let mut core = OutOfOrderCore::new_conventional(cfg.clone(), shared.cursor());
-            if plan.matches(cfg) {
-                core.use_fetch_plan(Arc::clone(plan));
-            }
-            core.set_idle_coalescing(true);
-            core
+        run_batched_with(configs, trace, params, observe, |cfg, shared| {
+            OutOfOrderCore::new_conventional(cfg.clone(), shared.cursor())
         })
     } else {
-        run_batched_with(configs, trace, params, observe, |cfg, plan, shared| {
-            let mut core = OutOfOrderCore::new(cfg.clone(), shared.cursor());
-            if plan.matches(cfg) {
-                core.use_fetch_plan(Arc::clone(plan));
-            }
-            core.set_idle_coalescing(true);
-            core
+        run_batched_with(configs, trace, params, observe, |cfg, shared| {
+            OutOfOrderCore::new(cfg.clone(), shared.cursor())
         })
-    }
-}
-
-/// [`run_ooo_batched`] for the in-order core; each lane is bit-identical
-/// to the scalar [`run_inorder`] / [`run_inorder_observed`].
-#[must_use]
-pub fn run_inorder_batched(
-    configs: &[&CoreConfig],
-    trace: &Arc<TraceArena>,
-    params: &SimParams,
-    observe: bool,
-) -> Vec<BenchOutcome> {
-    run_batched_with(configs, trace, params, observe, |cfg, plan, shared| {
-        let mut core = InOrderCore::new(cfg.clone(), shared.cursor());
-        if plan.matches(cfg) {
-            core.use_fetch_plan(Arc::clone(plan));
-        }
-        core.set_idle_coalescing(true);
-        core
-    })
-}
-
-/// A core the batched driver can advance lane-by-lane. Both cores already
-/// expose this surface; the trait only lets [`run_batched_with`] be
-/// written once.
-trait Lane {
-    fn run(&mut self, instructions: u64) -> SimResult;
-    fn snapshot(&self) -> SimResult;
-    fn enable_counters(&mut self);
-    fn take_counters(&mut self) -> Option<Counters>;
-    fn adopt_warm_hierarchy(&mut self, warm: &fo4depth_uarch::cache::Hierarchy);
-}
-
-impl<I, W, T> Lane for OutOfOrderCore<I, W, T>
-where
-    I: Iterator<Item = fo4depth_isa::Instruction>,
-    W: fo4depth_uarch::window::WindowModel,
-    T: fo4depth_pipeline::ooo::WaitTables,
-{
-    fn run(&mut self, n: u64) -> SimResult {
-        OutOfOrderCore::run(self, n)
-    }
-    fn snapshot(&self) -> SimResult {
-        OutOfOrderCore::snapshot(self)
-    }
-    fn enable_counters(&mut self) {
-        OutOfOrderCore::enable_counters(self);
-    }
-    fn take_counters(&mut self) -> Option<Counters> {
-        OutOfOrderCore::take_counters(self)
-    }
-    fn adopt_warm_hierarchy(&mut self, warm: &fo4depth_uarch::cache::Hierarchy) {
-        OutOfOrderCore::adopt_warm_hierarchy(self, warm);
-    }
-}
-
-impl<I: Iterator<Item = fo4depth_isa::Instruction>> Lane for InOrderCore<I> {
-    fn run(&mut self, n: u64) -> SimResult {
-        InOrderCore::run(self, n)
-    }
-    fn snapshot(&self) -> SimResult {
-        InOrderCore::snapshot(self)
-    }
-    fn enable_counters(&mut self) {
-        InOrderCore::enable_counters(self);
-    }
-    fn take_counters(&mut self) -> Option<Counters> {
-        InOrderCore::take_counters(self)
-    }
-    fn adopt_warm_hierarchy(&mut self, warm: &fo4depth_uarch::cache::Hierarchy) {
-        InOrderCore::adopt_warm_hierarchy(self, warm);
     }
 }
 
@@ -330,7 +235,11 @@ impl<I: Iterator<Item = fo4depth_isa::Instruction>> Lane for InOrderCore<I> {
 /// stop condition is `committed >= base + total` — exactly the scalar
 /// call's — and intermediate pauses are invisible because a core's
 /// cycle-by-cycle evolution does not depend on its run target.
-fn lockstep<L: Lane>(lanes: &mut [L], total: u64) {
+fn lockstep<I, W>(lanes: &mut [OutOfOrderCore<I, W>], total: u64)
+where
+    I: Iterator<Item = Instruction>,
+    W: WindowModel,
+{
     let bases: Vec<u64> = lanes.iter().map(|l| l.snapshot().instructions).collect();
     let mut done = 0;
     while done < total {
@@ -346,7 +255,7 @@ fn lockstep<L: Lane>(lanes: &mut [L], total: u64) {
     }
 }
 
-fn run_batched_with<L, F>(
+fn run_batched_with<W, F>(
     configs: &[&CoreConfig],
     trace: &Arc<TraceArena>,
     params: &SimParams,
@@ -354,51 +263,48 @@ fn run_batched_with<L, F>(
     build: F,
 ) -> Vec<BenchOutcome>
 where
-    L: Lane,
-    F: Fn(&CoreConfig, &Arc<FetchPlan>, &SharedTrace) -> L,
+    W: WindowModel,
+    F: Fn(&CoreConfig, &SharedTrace) -> OutOfOrderCore<SharedCursor, W>,
 {
     if configs.is_empty() {
         return Vec::new();
     }
-    let profile = trace.profile();
-    let (name, class) = (profile.name.clone(), profile.class);
     // One decode of the arena's 21-B/inst records serves the fetch plan
     // and every lane; per-lane fetch then reads the contiguous decoded
     // buffer instead of re-unpacking the columnar prefix N times.
     let shared = SharedTrace::decode(trace);
     let plan = Arc::new(FetchPlan::build(configs[0], shared.cursor(), trace.len()));
-    let mut lanes: Vec<L> = configs
-        .iter()
-        .map(|cfg| build(cfg, &plan, &shared))
-        .collect();
     // Cache prewarming is timing-independent (tag state is a pure function
     // of the access order), so one template hierarchy is warmed and its
     // state replicated into every lane instead of replaying the ~8k-access
     // prewarm sequence N times.
-    let mut warm = fo4depth_uarch::cache::Hierarchy::new(configs[0].hierarchy);
+    let mut warm = Hierarchy::new(configs[0].hierarchy);
     for &a in trace.prewarm_addresses() {
         let _ = warm.access(a);
     }
-    for lane in &mut lanes {
-        lane.adopt_warm_hierarchy(&warm);
-    }
+    let mut lanes: Vec<OutOfOrderCore<SharedCursor, W>> = configs
+        .iter()
+        .map(|cfg| {
+            let mut core = build(cfg, &shared);
+            if plan.matches(cfg) {
+                core.use_fetch_plan(Arc::clone(&plan));
+            }
+            core.adopt_warm_hierarchy(&warm);
+            core
+        })
+        .collect();
     lockstep(&mut lanes, params.warmup);
     if observe {
         for lane in &mut lanes {
             lane.enable_counters();
         }
     }
-    let starts: Vec<SimResult> = lanes.iter().map(Lane::snapshot).collect();
+    let starts: Vec<SimResult> = lanes.iter().map(OutOfOrderCore::snapshot).collect();
     lockstep(&mut lanes, params.measure);
     lanes
         .iter_mut()
         .zip(starts)
-        .map(|(lane, start)| BenchOutcome {
-            name: name.clone(),
-            class,
-            result: lane.snapshot().since(&start),
-            counters: lane.take_counters(),
-        })
+        .map(|(lane, start)| outcome(trace, lane.snapshot().since(&start), lane.take_counters()))
         .collect()
 }
 
@@ -471,9 +377,9 @@ mod tests {
         };
         let profs: Vec<_> = profiles::all().into_iter().take(4).collect();
         let arenas = arenas_for(&profs, &params);
-        let parallel = run_set(&arenas, |a| run_ooo(&cfg, a, &params));
+        let parallel = run_set(&arenas, |a| run_ooo(&cfg, a, &params, false));
         for (i, a) in arenas.iter().enumerate() {
-            let serial = run_ooo(&cfg, a, &params);
+            let serial = run_ooo(&cfg, a, &params, false);
             assert_eq!(parallel[i], serial, "{} differs", a.profile().name);
         }
     }
@@ -501,12 +407,13 @@ mod tests {
             params.seed,
             params.trace_len(),
         ));
-        let a = run_ooo(&cfg, &shared, &params);
-        let b = run_ooo(&cfg, &shared, &params);
+        let a = run_ooo(&cfg, &shared, &params, false);
+        let b = run_ooo(&cfg, &shared, &params, false);
         let fresh = run_ooo(
             &cfg,
             &Arc::new(TraceArena::generate(p, params.seed, params.trace_len())),
             &params,
+            false,
         );
         assert_eq!(a, b);
         assert_eq!(a, fresh);
@@ -524,21 +431,9 @@ mod tests {
         let cfg = CoreConfig::alpha_like();
         for observe in [false, true] {
             let batched = run_ooo_batched(&[&cfg, &cfg], &arena, &params, observe);
-            let scalar = if observe {
-                run_ooo_observed(&cfg, &arena, &params)
-            } else {
-                run_ooo(&cfg, &arena, &params)
-            };
+            let scalar = run_ooo(&cfg, &arena, &params, observe);
             assert_eq!(batched[0], scalar, "ooo observe={observe} lane 0");
             assert_eq!(batched[1], scalar, "ooo observe={observe} lane 1");
-            let batched = run_inorder_batched(&[&cfg, &cfg], &arena, &params, observe);
-            let scalar = if observe {
-                run_inorder_observed(&cfg, &arena, &params)
-            } else {
-                run_inorder(&cfg, &arena, &params)
-            };
-            assert_eq!(batched[0], scalar, "inorder observe={observe} lane 0");
-            assert_eq!(batched[1], scalar, "inorder observe={observe} lane 1");
         }
     }
 
@@ -560,11 +455,8 @@ mod tests {
                 let m = ScaledMachine::at(&structures, Fo4::new(t), Fo4::new(1.8));
                 let cfg = &m.config;
                 let batched = run_ooo_batched(&[cfg], &arena, &params, false);
-                let scalar = run_ooo(cfg, &arena, &params);
+                let scalar = run_ooo(cfg, &arena, &params, false);
                 assert_eq!(batched[0], scalar, "ooo {bench} t={t}");
-                let batched = run_inorder_batched(&[cfg], &arena, &params, false);
-                let scalar = run_inorder(cfg, &arena, &params);
-                assert_eq!(batched[0], scalar, "inorder {bench} t={t}");
             }
         }
     }
@@ -588,7 +480,7 @@ mod tests {
         let configs: Vec<&CoreConfig> = machines.iter().map(|m| &m.config).collect();
         let batched = run_ooo_batched(&configs, &arena, &params, false);
         for (i, cfg) in configs.iter().enumerate() {
-            let scalar = run_ooo(cfg, &arena, &params);
+            let scalar = run_ooo(cfg, &arena, &params, false);
             assert_eq!(batched[i], scalar, "ooo lane {i} (t={})", i + 2);
         }
     }
@@ -606,7 +498,7 @@ mod tests {
             profiles::by_name("171.swim").unwrap(),
         ];
         let arenas = arenas_for(&profs, &params);
-        let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, &params));
+        let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, &params, false));
         let int = summarize(&outcomes, Some(BenchClass::Integer), 1000.0).unwrap();
         assert_eq!(int.count, 1);
         let all = summarize(&outcomes, None, 1000.0).unwrap();
@@ -619,7 +511,7 @@ mod tests {
         let cfg = CoreConfig::alpha_like();
         let params = SimParams::quick();
         let arenas = arenas_for(&[profiles::by_name("164.gzip").unwrap()], &params);
-        let o = vec![run_ooo(&cfg, &arenas[0], &params)];
+        let o = vec![run_ooo(&cfg, &arenas[0], &params, false)];
         let fast = summarize(&o, None, 500.0).unwrap();
         let slow = summarize(&o, None, 1000.0).unwrap();
         assert!((fast.bips / slow.bips - 2.0).abs() < 1e-9);

@@ -16,8 +16,7 @@ use crate::adaptive::{AdaptiveConfig, AdaptivePlanner, AdaptiveStats};
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
 use crate::sim::{
-    arenas_for_on, run_inorder, run_inorder_batched, run_inorder_observed, run_ooo,
-    run_ooo_batched, run_ooo_observed, summarize, BenchOutcome, SimParams,
+    arenas_for_on, run_inorder, run_ooo, run_ooo_batched, summarize, BenchOutcome, SimParams,
 };
 
 /// Which core model a sweep exercises.
@@ -196,15 +195,13 @@ pub fn build_arenas(
 /// Runs a sweep on an explicit pool. The benchmark traces are materialized
 /// once up front ([`build_arenas`]) and shared — by reference-counted
 /// handle — across every clock point and worker thread; the whole
-/// (point × benchmark) grid is then flattened into one task set with no
-/// join barrier between clock points, so a straggling benchmark at one
-/// point overlaps with work from the next. Results are assembled in grid
-/// order: the sweep is bit-identical at any pool size, including the
-/// single-lane serial path.
+/// (point × benchmark) grid is then flattened into one task per cell, so a
+/// straggling benchmark at one point overlaps with work from the next.
+/// Results are assembled in grid order: the sweep is bit-identical at any
+/// pool size, including the single-lane serial path.
 #[must_use]
 pub fn depth_sweep_spec(spec: &SweepSpec<'_>, pool: &fo4depth_exec::Pool) -> DepthSweep {
-    let arenas = build_arenas(spec.profiles, spec.params, pool);
-    depth_sweep_arenas(spec, &arenas, pool)
+    depth_sweep_spec_batched(spec, pool, 1)
 }
 
 /// [`depth_sweep_spec`] over pre-materialized arenas (one per profile of
@@ -222,62 +219,15 @@ pub fn depth_sweep_arenas(
     arenas: &[Arc<TraceArena>],
     pool: &fo4depth_exec::Pool,
 ) -> DepthSweep {
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
-    let machines: Vec<ScaledMachine> = spec
-        .points
-        .iter()
-        .map(|&t| ScaledMachine::at(spec.structures, t, spec.overhead))
-        .collect();
-    let grid: Vec<(usize, usize)> = (0..spec.points.len())
-        .flat_map(|pi| (0..spec.profiles.len()).map(move |bi| (pi, bi)))
-        .collect();
-    let outcomes = pool.map(&grid, |&(pi, bi)| {
-        run_grid_cell(
-            spec.core,
-            spec.observed,
-            &machines[pi].config,
-            &arenas[bi],
-            spec.params,
-        )
-    });
-    let mut outcomes = outcomes.into_iter();
-    let points = spec
-        .points
-        .iter()
-        .zip(&machines)
-        .map(|(&t, machine)| SweepPoint {
-            t_useful: t.get(),
-            period_ps: machine.period_ps(),
-            outcomes: outcomes.by_ref().take(spec.profiles.len()).collect(),
-        })
-        .collect();
-    DepthSweep {
-        core: spec.core,
-        overhead: spec.overhead.get(),
-        points,
-    }
+    depth_sweep_arenas_batched(spec, arenas, pool, 1)
 }
 
-/// Runs a sweep on an explicit pool with the lane-parallel batched engine:
-/// cells are grouped by benchmark, each group's clock points are split into
-/// batches of up to `lanes` lanes, and every batch makes one pass over its
-/// shared [`TraceArena`] driving all of its lanes in lockstep (see
-/// [`run_ooo_batched`]). A batch is one pool task, so results are
-/// bit-identical at any pool size; they are also bit-identical to the
-/// scalar [`depth_sweep_arenas`] — the scalar path is retained as the
-/// reference implementation and the differential harness in
-/// `tests/batched_equivalence.rs` enforces the equivalence byte-for-byte.
+/// Runs a sweep on an explicit pool with each benchmark's clock points
+/// split into groups of up to `lanes` points. A group is one pool task; an
+/// out-of-order group of two or more makes one lockstep pass over its
+/// shared arena ([`run_ooo_batched`]), any other runs cell by cell.
+/// Results are bit-identical at any pool size and any lane count —
+/// `lanes = 1` is [`depth_sweep_arenas`].
 ///
 /// # Panics
 ///
@@ -290,12 +240,6 @@ pub fn depth_sweep_arenas_batched(
     pool: &fo4depth_exec::Pool,
     lanes: usize,
 ) -> DepthSweep {
-    assert!(lanes > 0, "a batch needs at least one lane");
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
     for (arena, profile) in arenas.iter().zip(spec.profiles) {
         assert_eq!(
             arena.profile().name,
@@ -303,54 +247,11 @@ pub fn depth_sweep_arenas_batched(
             "arena/profile misalignment"
         );
     }
-    let machines: Vec<ScaledMachine> = spec
-        .points
-        .iter()
-        .map(|&t| ScaledMachine::at(spec.structures, t, spec.overhead))
-        .collect();
-    // One task per (benchmark × point-batch): `lanes` clock points of one
-    // benchmark, sharing a single pass over that benchmark's arena. Ragged
-    // tails (point count not divisible by `lanes`) become short batches.
-    let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..spec.profiles.len())
-        .flat_map(|bi| {
-            (0..spec.points.len())
-                .step_by(lanes)
-                .map(move |lo| (bi, lo..(lo + lanes).min(spec.points.len())))
-        })
-        .collect();
-    let batches = pool.map(&tasks, |(bi, pis)| {
-        let configs: Vec<&CoreConfig> = pis.clone().map(|pi| &machines[pi].config).collect();
-        run_grid_group(
-            spec.core,
-            spec.observed,
-            &configs,
-            &arenas[*bi],
-            spec.params,
-        )
-    });
-    // Scatter batch results back into points-major grid order.
-    let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-    grid.resize_with(spec.points.len() * spec.profiles.len(), || None);
-    for ((bi, pis), batch) in tasks.into_iter().zip(batches) {
-        for (pi, outcome) in pis.zip(batch) {
-            grid[pi * spec.profiles.len() + bi] = Some(outcome);
-        }
-    }
-    let mut outcomes = grid.into_iter().map(|o| o.expect("every cell filled"));
-    let points = spec
-        .points
-        .iter()
-        .zip(&machines)
-        .map(|(&t, machine)| SweepPoint {
-            t_useful: t.get(),
-            period_ps: machine.period_ps(),
-            outcomes: outcomes.by_ref().take(spec.profiles.len()).collect(),
-        })
-        .collect();
+    let all: Vec<usize> = (0..spec.points.len()).collect();
     DepthSweep {
         core: spec.core,
         overhead: spec.overhead.get(),
-        points,
+        points: run_points(spec, arenas, pool, lanes, &all),
     }
 }
 
@@ -366,42 +267,18 @@ pub fn depth_sweep_spec_batched(
     depth_sweep_arenas_batched(spec, &arenas, pool, lanes)
 }
 
-/// The batched counterpart of [`depth_sweep`]: the paper's standard sweep
-/// with all of a benchmark's clock points in one batch.
-#[must_use]
-pub fn depth_sweep_batched(
-    core: CoreKind,
-    profiles: &[BenchProfile],
-    params: &SimParams,
-) -> DepthSweep {
-    let points = standard_points();
-    depth_sweep_spec_batched(
-        &SweepSpec {
-            core,
-            profiles,
-            params,
-            structures: &StructureSet::alpha_21264(),
-            overhead: Fo4::new(1.8),
-            points: &points,
-            observed: false,
-        },
-        fo4depth_exec::global(),
-        points.len(),
-    )
-}
-
-/// The measured-best lane count for a core's point batches. The
-/// out-of-order core amortizes its decode and fetch-plan sharing across
-/// every clock point it can get (1.69× over scalar, BENCH_report.json);
-/// the in-order core's lanes barely pay off (1.10×) because its per-lane
-/// state is small enough that scalar replay is already cache-resident —
-/// wide batches just lengthen the lockstep chunk's working set, so it
-/// caps at four lanes.
+/// The measured-best lane count for a core's point batches. Out-of-order
+/// lanes share one trace decode, fetch plan and cache prewarm per batch:
+/// a 15-lane batch ran 1.06–1.17× faster than the per-cell driver at
+/// 20 000 + 80 000 instructions (2-vCPU host, five interleaved reps), so
+/// every clock point goes in one batch. In-order lanes no longer pay —
+/// 4-lane batches measured 0.80–1.18× (median 0.95) of the per-cell
+/// driver — so the in-order core runs one cell per task.
 #[must_use]
 pub fn auto_lanes(core: CoreKind, points: usize) -> usize {
     match core {
         CoreKind::OutOfOrder => points.max(1),
-        CoreKind::InOrder => points.clamp(1, 4),
+        CoreKind::InOrder => 1,
     }
 }
 
@@ -444,7 +321,7 @@ impl AdaptiveSweep {
         spec: &SweepSpec<'_>,
         arenas: &[Arc<TraceArena>],
         pool: &fo4depth_exec::Pool,
-        lanes: Option<usize>,
+        lanes: usize,
     ) -> DepthSweep {
         assert_eq!(
             spec.points.len(),
@@ -478,18 +355,22 @@ impl AdaptiveSweep {
 
 /// Simulates a subset of a sweep's grid points (by dense-grid index) over
 /// shared arenas, returning one [`SweepPoint`] per requested index, in
-/// request order. `lanes: None` takes the scalar per-cell path (one pool
-/// task per `(point × benchmark)` cell); `Some(k)` the lane-batched path
-/// (groups of up to `k` points per benchmark). Both go through the same
-/// grid dispatch as the dense sweeps, so every outcome is bitwise
-/// identical to the dense equivalent.
+/// request order. Each benchmark's requested points are split into groups
+/// of up to `lanes` points, one pool task per group, each run through
+/// [`run_grid_group`] — the dispatch every sweep shape shares, so every
+/// outcome is bitwise identical to its dense equivalent.
+///
+/// # Panics
+///
+/// Panics if `lanes` is zero or `arenas` is not one per profile.
 pub(crate) fn run_points(
     spec: &SweepSpec<'_>,
     arenas: &[Arc<TraceArena>],
     pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
+    lanes: usize,
     indices: &[usize],
 ) -> Vec<SweepPoint> {
+    assert!(lanes > 0, "a batch needs at least one lane");
     assert_eq!(
         arenas.len(),
         spec.profiles.len(),
@@ -499,53 +380,35 @@ pub(crate) fn run_points(
         .iter()
         .map(|&pi| ScaledMachine::at(spec.structures, spec.points[pi], spec.overhead))
         .collect();
-    let grid_outcomes: Vec<BenchOutcome> = match lanes {
-        None => {
-            let grid: Vec<(usize, usize)> = (0..indices.len())
-                .flat_map(|k| (0..spec.profiles.len()).map(move |bi| (k, bi)))
-                .collect();
-            pool.map(&grid, |&(k, bi)| {
-                run_grid_cell(
-                    spec.core,
-                    spec.observed,
-                    &machines[k].config,
-                    &arenas[bi],
-                    spec.params,
-                )
-            })
+    // One task per (point group × benchmark), groups major — at one lane,
+    // the points-major cell order; ragged tails (point count not divisible
+    // by `lanes`) become short groups.
+    let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..indices.len())
+        .step_by(lanes)
+        .flat_map(|lo| {
+            let ks = lo..lo.saturating_add(lanes).min(indices.len());
+            (0..spec.profiles.len()).map(move |bi| (bi, ks.clone()))
+        })
+        .collect();
+    let groups = pool.map(&tasks, |(bi, ks)| {
+        let configs: Vec<&CoreConfig> = ks.clone().map(|k| &machines[k].config).collect();
+        run_grid_group(
+            spec.core,
+            spec.observed,
+            &configs,
+            &arenas[*bi],
+            spec.params,
+        )
+    });
+    // Scatter group results back into points-major grid order.
+    let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
+    grid.resize_with(indices.len() * spec.profiles.len(), || None);
+    for ((bi, ks), group) in tasks.into_iter().zip(groups) {
+        for (k, outcome) in ks.zip(group) {
+            grid[k * spec.profiles.len() + bi] = Some(outcome);
         }
-        Some(lanes) => {
-            assert!(lanes > 0, "a batch needs at least one lane");
-            let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..spec.profiles.len())
-                .flat_map(|bi| {
-                    (0..indices.len())
-                        .step_by(lanes)
-                        .map(move |lo| (bi, lo..(lo + lanes).min(indices.len())))
-                })
-                .collect();
-            let batches = pool.map(&tasks, |(bi, ks)| {
-                let configs: Vec<&CoreConfig> = ks.clone().map(|k| &machines[k].config).collect();
-                run_grid_group(
-                    spec.core,
-                    spec.observed,
-                    &configs,
-                    &arenas[*bi],
-                    spec.params,
-                )
-            });
-            let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-            grid.resize_with(indices.len() * spec.profiles.len(), || None);
-            for ((bi, ks), batch) in tasks.into_iter().zip(batches) {
-                for (k, outcome) in ks.zip(batch) {
-                    grid[k * spec.profiles.len() + bi] = Some(outcome);
-                }
-            }
-            grid.into_iter()
-                .map(|o| o.expect("every cell filled"))
-                .collect()
-        }
-    };
-    let mut outcomes = grid_outcomes.into_iter();
+    }
+    let mut outcomes = grid.into_iter().map(|o| o.expect("every cell filled"));
     indices
         .iter()
         .zip(&machines)
@@ -560,8 +423,8 @@ pub(crate) fn run_points(
 /// Runs an adaptive sweep over pre-materialized arenas: coarse pass, then
 /// refinement rounds around the incumbent (see
 /// [`AdaptivePlanner`](crate::adaptive::AdaptivePlanner)), each round's
-/// points fanned out on `pool` through the same scalar or lane-batched
-/// grid dispatch as the dense sweeps. The figure of merit is the
+/// points fanned out on `pool` in groups of up to `lanes` points through
+/// the same grid dispatch as the dense sweeps. The figure of merit is the
 /// harmonic-mean BIPS over *all* benchmarks at each point — the paper's
 /// headline curve.
 ///
@@ -574,7 +437,7 @@ pub fn adaptive_sweep_arenas(
     spec: &SweepSpec<'_>,
     arenas: &[Arc<TraceArena>],
     pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
+    lanes: usize,
     config: &AdaptiveConfig,
 ) -> AdaptiveSweep {
     assert!(!spec.profiles.is_empty(), "a sweep needs benchmarks");
@@ -622,17 +485,23 @@ pub fn adaptive_sweep_arenas(
 pub fn adaptive_sweep_spec(
     spec: &SweepSpec<'_>,
     pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
+    lanes: usize,
     config: &AdaptiveConfig,
 ) -> AdaptiveSweep {
     let arenas = build_arenas(spec.profiles, spec.params, pool);
     adaptive_sweep_arenas(spec, &arenas, pool, lanes, config)
 }
 
-/// The one dispatch point every batched lane-group goes through — shared by
-/// [`depth_sweep_arenas_batched`] and the cache-granular
-/// [`run_cell_group`](crate::cells::run_cell_group), mirroring how
-/// [`run_grid_cell`] is the single scalar dispatch point.
+/// The one dispatch point every sweep cell goes through — dense, adaptive
+/// and yield sweeps, and the cache-granular [`CellSpec::run`] and
+/// [`run_cell_group`] — so a cell simulated for a cache is bit-identical
+/// to the same cell simulated inside any sweep. The driver is picked by
+/// lane count: out-of-order groups of two or more cells take one
+/// lockstep pass over the shared arena ([`run_ooo_batched`]); everything
+/// else runs cell by cell ([`run_ooo`], [`run_inorder`]).
+///
+/// [`CellSpec::run`]: crate::cells::CellSpec::run
+/// [`run_cell_group`]: crate::cells::run_cell_group
 pub(crate) fn run_grid_group(
     core: CoreKind,
     observed: bool,
@@ -641,27 +510,17 @@ pub(crate) fn run_grid_group(
     params: &SimParams,
 ) -> Vec<BenchOutcome> {
     match core {
-        CoreKind::InOrder => run_inorder_batched(configs, arena, params, observed),
-        CoreKind::OutOfOrder => run_ooo_batched(configs, arena, params, observed),
-    }
-}
-
-/// The one dispatch point every sweep cell goes through — shared by the
-/// grid fan-out above and the cache-granular
-/// [`CellSpec::run`](crate::cells::CellSpec::run), so a cell simulated for
-/// a cache is bit-identical to the same cell simulated inside a sweep.
-pub(crate) fn run_grid_cell(
-    core: CoreKind,
-    observed: bool,
-    config: &CoreConfig,
-    arena: &Arc<TraceArena>,
-    params: &SimParams,
-) -> BenchOutcome {
-    match (core, observed) {
-        (CoreKind::InOrder, false) => run_inorder(config, arena, params),
-        (CoreKind::InOrder, true) => run_inorder_observed(config, arena, params),
-        (CoreKind::OutOfOrder, false) => run_ooo(config, arena, params),
-        (CoreKind::OutOfOrder, true) => run_ooo_observed(config, arena, params),
+        CoreKind::OutOfOrder if configs.len() >= 2 => {
+            run_ooo_batched(configs, arena, params, observed)
+        }
+        CoreKind::OutOfOrder => configs
+            .iter()
+            .map(|cfg| run_ooo(cfg, arena, params, observed))
+            .collect(),
+        CoreKind::InOrder => configs
+            .iter()
+            .map(|cfg| run_inorder(cfg, arena, params, observed))
+            .collect(),
     }
 }
 

@@ -92,7 +92,7 @@ fn check(row: &ValidationRow, bands: &Bands) -> Option<String> {
 pub fn validate_all(params: &SimParams, bands: &Bands) -> Vec<ValidationRow> {
     let cfg = CoreConfig::alpha_like();
     let arenas = arenas_for(&profiles::all(), params);
-    run_set(&arenas, |a| run_ooo(&cfg, a, params))
+    run_set(&arenas, |a| run_ooo(&cfg, a, params, false))
         .into_iter()
         .map(|o| {
             let mut row = ValidationRow {

@@ -400,14 +400,15 @@ impl<'a> YieldPlan<'a> {
 }
 
 /// Runs a planned yield sweep over pre-materialized arenas on an explicit
-/// pool. `lanes: None` takes the scalar per-cell path; `Some(k)` groups
-/// each benchmark's cells into lane batches of up to `k` clock points —
-/// both positional, so the result is bit-identical either way and at any
-/// pool size.
+/// pool: each benchmark's cells are grouped into batches of up to `lanes`
+/// clock points (`None`: one cell per batch), one pool task per batch —
+/// positional, so the result is bit-identical at any lane count and pool
+/// size.
 ///
 /// # Panics
 ///
-/// Panics if `arenas` is misaligned with the plan's profiles.
+/// Panics if `lanes` is `Some(0)` or `arenas` is misaligned with the
+/// plan's profiles.
 #[must_use]
 pub fn run_yield_plan(
     plan: &YieldPlan<'_>,
@@ -416,6 +417,8 @@ pub fn run_yield_plan(
     lanes: Option<usize>,
 ) -> YieldSweep {
     let spec = &plan.spec;
+    let lanes = lanes.unwrap_or(1);
+    assert!(lanes > 0, "a batch needs at least one lane");
     assert_eq!(
         arenas.len(),
         spec.profiles.len(),
@@ -434,45 +437,38 @@ pub fn run_yield_plan(
             .position(|p| p.name == cell.profile.name)
             .expect("cell profile in spec")
     };
-    let outcomes: Vec<BenchOutcome> = match lanes {
-        None => pool.map(plan.cells(), |cell| {
-            cell.run(spec.structures, &arenas[bench_index(cell)])
-        }),
-        Some(lanes) => {
-            assert!(lanes > 0, "a batch needs at least one lane");
-            // Group by benchmark, preserving plan order within a group,
-            // then chunk each group into lane batches. One batch = one
-            // pool task; scatter back to plan slots afterwards.
-            let mut by_bench: Vec<Vec<usize>> = vec![Vec::new(); spec.profiles.len()];
-            for (i, cell) in plan.cells().iter().enumerate() {
-                by_bench[bench_index(cell)].push(i);
-            }
-            let tasks: Vec<(usize, Vec<usize>)> = by_bench
-                .into_iter()
-                .enumerate()
-                .flat_map(|(bi, slots)| {
-                    slots
-                        .chunks(lanes)
-                        .map(|chunk| (bi, chunk.to_vec()))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let batches = pool.map(&tasks, |(bi, slots)| {
-                let group: Vec<CellSpec> = slots.iter().map(|&i| plan.cells()[i].clone()).collect();
-                run_cell_group(&group, spec.structures, &arenas[*bi])
-            });
-            let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-            grid.resize_with(plan.cells().len(), || None);
-            for ((_, slots), batch) in tasks.into_iter().zip(batches) {
-                for (slot, outcome) in slots.into_iter().zip(batch) {
-                    grid[slot] = Some(outcome);
-                }
-            }
-            grid.into_iter()
-                .map(|o| o.expect("every cell filled"))
-                .collect()
+    // Group by benchmark, preserving plan order within a group, then chunk
+    // each group into lane batches. One batch = one pool task; scatter
+    // back to plan slots afterwards.
+    let mut by_bench: Vec<Vec<usize>> = vec![Vec::new(); spec.profiles.len()];
+    for (i, cell) in plan.cells().iter().enumerate() {
+        by_bench[bench_index(cell)].push(i);
+    }
+    let tasks: Vec<(usize, Vec<usize>)> = by_bench
+        .into_iter()
+        .enumerate()
+        .flat_map(|(bi, slots)| {
+            slots
+                .chunks(lanes)
+                .map(|chunk| (bi, chunk.to_vec()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let batches = pool.map(&tasks, |(bi, slots)| {
+        let group: Vec<CellSpec> = slots.iter().map(|&i| plan.cells()[i].clone()).collect();
+        run_cell_group(&group, spec.structures, &arenas[*bi])
+    });
+    let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
+    grid.resize_with(plan.cells().len(), || None);
+    for ((_, slots), batch) in tasks.into_iter().zip(batches) {
+        for (slot, outcome) in slots.into_iter().zip(batch) {
+            grid[slot] = Some(outcome);
         }
-    };
+    }
+    let outcomes = grid
+        .into_iter()
+        .map(|o| o.expect("every cell filled"))
+        .collect();
     plan.assemble(outcomes)
 }
 

@@ -204,9 +204,9 @@ pub(crate) struct PlanTail {
     btb: Btb,
 }
 
-/// How a core resolves fetch-stage branch work: live structures (the
-/// scalar reference path, byte-for-byte the pre-plan behaviour) or a
-/// shared [`FetchPlan`] replay with per-lane [`BtbStats`] re-accumulation.
+/// How a core resolves fetch-stage branch work: live structures (a core
+/// run on its own) or a shared [`FetchPlan`] replay with per-lane
+/// [`BtbStats`] re-accumulation (lanes of a batch).
 #[derive(Debug)]
 pub(crate) enum FetchResolver {
     Live {
@@ -221,7 +221,7 @@ pub(crate) enum FetchResolver {
 }
 
 impl FetchResolver {
-    /// The scalar reference path: a fresh predictor and BTB per `cfg`.
+    /// Live resolution: a fresh predictor and BTB per `cfg`.
     pub(crate) fn live(cfg: &CoreConfig) -> Self {
         FetchResolver::Live {
             predictor: crate::ooo::build_predictor(cfg),

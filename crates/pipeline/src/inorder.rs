@@ -14,7 +14,6 @@
 //! state by the queue depth anyway).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use fo4depth_isa::{Instruction, OpClass};
 use fo4depth_uarch::branch::BtbStats;
@@ -22,7 +21,7 @@ use fo4depth_uarch::cache::Hierarchy;
 use fo4depth_uarch::fu::{FuClass, FuPool};
 use fo4depth_uarch::observe::{Observer, Structure};
 
-use crate::batch::{FetchPlan, FetchResolver};
+use crate::batch::FetchResolver;
 use crate::config::CoreConfig;
 use crate::counters::{Counters, StallCause, ValueKind};
 use crate::result::SimResult;
@@ -85,12 +84,8 @@ pub struct InOrderCore<I: Iterator<Item = Instruction>> {
 
     fu: FuPool,
     hierarchy: Hierarchy,
-    /// Fetch-stage branch resolution: live predictor+BTB (the scalar
-    /// reference) or a shared [`FetchPlan`] replay (batched lanes).
+    /// Fetch-stage branch resolution (live predictor+BTB).
     resolver: FetchResolver,
-    /// When set, stretches of provably idle cycles are coalesced into one
-    /// clock jump. Off by default; the scalar reference steps every cycle.
-    coalesce_idle: bool,
 
     fetch_halted: bool,
     fetch_resume_at: u64,
@@ -122,7 +117,6 @@ impl<I: Iterator<Item = Instruction>> InOrderCore<I> {
             fu: FuPool::new(cfg.fu),
             hierarchy: Hierarchy::new(cfg.hierarchy),
             resolver,
-            coalesce_idle: false,
             queue_capacity: 32,
             cfg,
             trace,
@@ -178,32 +172,6 @@ impl<I: Iterator<Item = Instruction>> InOrderCore<I> {
         &self.cfg
     }
 
-    /// Replays `plan` instead of resolving branches through a live
-    /// predictor+BTB; see [`OutOfOrderCore::use_fetch_plan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if fetch has already started or the plan was built under a
-    /// different predictor/BTB geometry.
-    ///
-    /// [`OutOfOrderCore::use_fetch_plan`]: crate::ooo::OutOfOrderCore::use_fetch_plan
-    pub fn use_fetch_plan(&mut self, plan: Arc<FetchPlan>) {
-        assert_eq!(self.next_seq, 0, "fetch plan installed mid-run");
-        assert!(
-            plan.matches(&self.cfg),
-            "fetch plan geometry does not match the core config"
-        );
-        self.resolver = FetchResolver::planned(plan);
-    }
-
-    /// Enables (or disables) idle-cycle coalescing; see
-    /// [`OutOfOrderCore::set_idle_coalescing`].
-    ///
-    /// [`OutOfOrderCore::set_idle_coalescing`]: crate::ooo::OutOfOrderCore::set_idle_coalescing
-    pub fn set_idle_coalescing(&mut self, on: bool) {
-        self.coalesce_idle = on;
-    }
-
     /// The in-flight entry for producer `seq`, if it is still live in the
     /// ring. `None` means the value is (or behaves as) long materialized.
     #[inline]
@@ -219,16 +187,6 @@ impl<I: Iterator<Item = Instruction>> InOrderCore<I> {
         for a in addrs {
             let _ = self.hierarchy.access(a);
         }
-    }
-
-    /// Replaces the data hierarchy's cache tag state and statistics with
-    /// `warm`'s, keeping this core's clock-scaled latencies. The batched
-    /// driver prewarms one template hierarchy per lane group and
-    /// replicates it here — bit-identical to each lane replaying the
-    /// prewarm sequence itself, since tag state only depends on the
-    /// access order.
-    pub fn adopt_warm_hierarchy(&mut self, warm: &Hierarchy) {
-        self.hierarchy.adopt_state(warm);
     }
 
     /// Cumulative counters since construction.
@@ -247,7 +205,9 @@ impl<I: Iterator<Item = Instruction>> InOrderCore<I> {
     }
 
     /// Runs until `instructions` more have issued (≡ committed, as issue is
-    /// in program order); returns the counters for that interval.
+    /// in program order); returns the counters for that interval. Provably
+    /// idle stretches are jumped in one step with their observation
+    /// bulk-recorded, exactly as stepping every cycle would record it.
     ///
     /// # Panics
     ///
@@ -256,16 +216,10 @@ impl<I: Iterator<Item = Instruction>> InOrderCore<I> {
     pub fn run(&mut self, instructions: u64) -> SimResult {
         let start = self.snapshot();
         let target = self.issued_count + instructions;
-        if self.coalesce_idle {
-            while self.issued_count < target {
-                if let Some(t) = self.idle_skip_target() {
-                    self.skip_idle_to(t);
-                } else {
-                    self.cycle();
-                }
-            }
-        } else {
-            while self.issued_count < target {
+        while self.issued_count < target {
+            if let Some(t) = self.idle_skip_target() {
+                self.skip_idle_to(t);
+            } else {
                 self.cycle();
             }
         }

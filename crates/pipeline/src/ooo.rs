@@ -21,7 +21,7 @@
 //!   the branch-misprediction loop.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use std::sync::Arc;
 
@@ -90,7 +90,7 @@ struct Inflight {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub struct WaitState {
+struct WaitState {
     pending: u32,
     acc: u64,
     /// Kind of the producer currently bounding `acc` (observability only;
@@ -131,127 +131,21 @@ struct Pending {
     avail_at: u64,
 }
 
-/// Storage for the core's three sequence-keyed wait tables (dispatch-time
-/// wait state, issue-wait attribution, store-forwarding waiters). The
-/// scalar reference uses [`MapTables`] — the seed implementation's hash
-/// maps, kept byte-for-byte so the oracle stays exactly what the repo has
-/// always run. The batched engine uses [`RingTables`], which exploit the
-/// in-flight invariant (all live keys sit within one ROB of each other) to
-/// replace hashing with direct ring indexing. Both containers implement
-/// identical key/value semantics, so the choice is invisible to outcomes —
-/// the differential harness in `tests/batched_equivalence.rs` enforces it.
-pub trait WaitTables: std::fmt::Debug + Send {
-    /// Whether this engine variant takes the tuned structure paths
-    /// (ring-indexed ROB completion, memoized window probes). `false` keeps
-    /// every hot-path branch exactly as the seed reference.
-    const TUNED: bool;
-
-    /// Builds tables for a core whose in-flight window is `rob_capacity`.
-    fn with_capacity(rob_capacity: usize) -> Self;
-
-    /// Dispatch-time wait state of in-flight instruction `seq`.
-    fn consumer(&self, seq: u64) -> Option<&WaitState>;
-    /// Mutable [`WaitTables::consumer`].
-    fn consumer_mut(&mut self, seq: u64) -> Option<&mut WaitState>;
-    /// Records the wait state of newly dispatched `seq`.
-    fn insert_consumer(&mut self, seq: u64, state: WaitState);
-    /// Drops `seq`'s wait state (its last producer has scheduled).
-    fn remove_consumer(&mut self, seq: u64);
-
-    /// What kind of producer `seq` is waiting on (attribution only).
-    fn issue_wait(&self, seq: u64) -> Option<ValueKind>;
-    /// Records what `seq` waits on from dispatch (or last wake) onward.
-    fn insert_issue_wait(&mut self, seq: u64, kind: ValueKind);
-    /// Clears `seq`'s issue-wait attribution (it has issued).
-    fn remove_issue_wait(&mut self, seq: u64);
-
-    /// Gates load `seq` on the data of in-flight store `store_seq`.
-    fn push_store_waiter(&mut self, store_seq: u64, seq: u64);
-    /// Takes the loads gated on `store_seq` (empty when none). The buffer
-    /// is handed back through [`WaitTables::recycle_store_waiters`] so ring
-    /// implementations can reuse the allocation.
-    fn take_store_waiters(&mut self, store_seq: u64) -> Vec<u64>;
-    /// Returns a drained waiter buffer for reuse (no-op for maps).
-    fn recycle_store_waiters(&mut self, store_seq: u64, buf: Vec<u64>);
-}
-
-/// The seed reference's wait tables: three `std` hash maps, untouched.
-#[derive(Debug, Default)]
-pub struct MapTables {
-    consumers: HashMap<u64, WaitState>,
-    issue_wait: HashMap<u64, ValueKind>,
-    store_waiters: HashMap<u64, Vec<u64>>,
-}
-
-impl WaitTables for MapTables {
-    const TUNED: bool = false;
-
-    fn with_capacity(_rob_capacity: usize) -> Self {
-        Self::default()
-    }
-
-    fn consumer(&self, seq: u64) -> Option<&WaitState> {
-        self.consumers.get(&seq)
-    }
-
-    fn consumer_mut(&mut self, seq: u64) -> Option<&mut WaitState> {
-        self.consumers.get_mut(&seq)
-    }
-
-    fn insert_consumer(&mut self, seq: u64, state: WaitState) {
-        self.consumers.insert(seq, state);
-    }
-
-    fn remove_consumer(&mut self, seq: u64) {
-        self.consumers.remove(&seq);
-    }
-
-    fn issue_wait(&self, seq: u64) -> Option<ValueKind> {
-        self.issue_wait.get(&seq).copied()
-    }
-
-    fn insert_issue_wait(&mut self, seq: u64, kind: ValueKind) {
-        self.issue_wait.insert(seq, kind);
-    }
-
-    fn remove_issue_wait(&mut self, seq: u64) {
-        self.issue_wait.remove(&seq);
-    }
-
-    fn push_store_waiter(&mut self, store_seq: u64, seq: u64) {
-        self.store_waiters.entry(store_seq).or_default().push(seq);
-    }
-
-    fn take_store_waiters(&mut self, store_seq: u64) -> Vec<u64> {
-        self.store_waiters.remove(&store_seq).unwrap_or_default()
-    }
-
-    fn recycle_store_waiters(&mut self, _store_seq: u64, _buf: Vec<u64>) {}
-}
-
-/// The batched engine's wait tables: ring-indexed by `seq % rob_capacity`.
-/// Sound because every key is an in-flight sequence number and the ROB
-/// bounds in-flight instructions to one capacity's worth of contiguous
-/// seqs — the same invariant the core's `inflight` ring already relies on.
-/// Each table entry is removed by its instruction's own lifecycle (issue,
-/// wake, store execute) before the ring can wrap onto it.
+/// The core's three sequence-keyed wait tables (dispatch-time wait state,
+/// issue-wait attribution, store-forwarding waiters), ring-indexed by
+/// `seq % rob_capacity`. Sound because every key is an in-flight sequence
+/// number and the ROB bounds in-flight instructions to one capacity's
+/// worth of contiguous seqs — the same invariant the core's `inflight`
+/// ring relies on. Each entry is removed by its instruction's own
+/// lifecycle (issue, wake, store execute) before the ring can wrap onto it.
 #[derive(Debug)]
-pub struct RingTables {
+struct RingTables {
     consumers: Vec<Option<WaitState>>,
     issue_wait: Vec<Option<ValueKind>>,
     store_waiters: Vec<Vec<u64>>,
 }
 
 impl RingTables {
-    #[inline]
-    fn slot(&self, seq: u64) -> usize {
-        (seq as usize) % self.consumers.len()
-    }
-}
-
-impl WaitTables for RingTables {
-    const TUNED: bool = true;
-
     fn with_capacity(rob_capacity: usize) -> Self {
         assert!(rob_capacity > 0);
         Self {
@@ -261,6 +155,12 @@ impl WaitTables for RingTables {
         }
     }
 
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq as usize) % self.consumers.len()
+    }
+
+    /// Dispatch-time wait state of in-flight instruction `seq`.
     fn consumer(&self, seq: u64) -> Option<&WaitState> {
         self.consumers[self.slot(seq)].as_ref()
     }
@@ -276,37 +176,43 @@ impl WaitTables for RingTables {
         self.consumers[i] = Some(state);
     }
 
+    /// Drops `seq`'s wait state (its last producer has scheduled).
     fn remove_consumer(&mut self, seq: u64) {
         let i = self.slot(seq);
         self.consumers[i] = None;
     }
 
+    /// What kind of producer `seq` is waiting on (attribution only).
     fn issue_wait(&self, seq: u64) -> Option<ValueKind> {
-        self.issue_wait[(seq as usize) % self.issue_wait.len()]
+        self.issue_wait[self.slot(seq)]
     }
 
     fn insert_issue_wait(&mut self, seq: u64, kind: ValueKind) {
-        let i = (seq as usize) % self.issue_wait.len();
+        let i = self.slot(seq);
         self.issue_wait[i] = Some(kind);
     }
 
     fn remove_issue_wait(&mut self, seq: u64) {
-        let i = (seq as usize) % self.issue_wait.len();
+        let i = self.slot(seq);
         self.issue_wait[i] = None;
     }
 
+    /// Gates load `seq` on the data of in-flight store `store_seq`.
     fn push_store_waiter(&mut self, store_seq: u64, seq: u64) {
-        let i = (store_seq as usize) % self.store_waiters.len();
+        let i = self.slot(store_seq);
         self.store_waiters[i].push(seq);
     }
 
+    /// Takes the loads gated on `store_seq` (empty when none); hand the
+    /// buffer back through [`RingTables::recycle_store_waiters`] to reuse
+    /// its allocation.
     fn take_store_waiters(&mut self, store_seq: u64) -> Vec<u64> {
-        let i = (store_seq as usize) % self.store_waiters.len();
+        let i = self.slot(store_seq);
         std::mem::take(&mut self.store_waiters[i])
     }
 
     fn recycle_store_waiters(&mut self, store_seq: u64, mut buf: Vec<u64>) {
-        let i = (store_seq as usize) % self.store_waiters.len();
+        let i = self.slot(store_seq);
         if self.store_waiters[i].capacity() == 0 {
             buf.clear();
             self.store_waiters[i] = buf;
@@ -318,17 +224,19 @@ impl WaitTables for RingTables {
 ///
 /// Generic over the trace iterator so synthetic generators, recorded
 /// traces, and test vectors all drive the same model, and over the window
-/// model. The default window parameter is the boxed trait object the
-/// scalar reference uses (any [`WindowConfig`] at runtime); the batched
-/// engine monomorphizes over [`ConventionalWindow`] instead
-/// ([`OutOfOrderCore::new_conventional`]), which devirtualizes and inlines
-/// the per-cycle window probes — same generic code, same cycle-for-cycle
-/// behaviour, measurably cheaper hot loop.
+/// model. The default window parameter is a boxed trait object (any
+/// [`WindowConfig`] at runtime); [`OutOfOrderCore::new_conventional`]
+/// monomorphizes over [`ConventionalWindow`] instead, which devirtualizes
+/// and inlines the per-cycle window probes — same generic code, same
+/// cycle-for-cycle behaviour, cheaper hot loop. There is one set of
+/// structures: ring-indexed wait tables, the indexed LSQ and ROB, and idle
+/// cycles coalesced into clock jumps. Their correctness reference is the
+/// golden ledger of recorded cell digests (`tests/golden/cells.txt`) and,
+/// for the LSQ, a straight-line model in that module's tests.
 #[derive(Debug)]
 pub struct OutOfOrderCore<
     I: Iterator<Item = Instruction>,
     W: WindowModel = Box<dyn WindowModel + Send>,
-    T: WaitTables = MapTables,
 > {
     cfg: CoreConfig,
     trace: I,
@@ -342,13 +250,9 @@ pub struct OutOfOrderCore<
     lsq: LoadStoreQueue,
     fu: FuPool,
     hierarchy: Hierarchy,
-    /// Fetch-stage branch resolution: live predictor+BTB (the scalar
-    /// reference) or a shared [`FetchPlan`] replay (batched lanes).
+    /// Fetch-stage branch resolution: live predictor+BTB (one core) or a
+    /// shared [`FetchPlan`] replay (lanes of a batch).
     resolver: FetchResolver,
-    /// When set, stretches of provably idle cycles are coalesced into one
-    /// clock jump (the batched path's speed lever). Off by default; the
-    /// scalar reference steps every cycle.
-    coalesce_idle: bool,
     /// Memoized [`WindowModel::next_visible_at`], valid until the next
     /// simulated cycle mutates the window (`None` = recompute). An idle
     /// stretch probes the window repeatedly without changing it; this keeps
@@ -376,7 +280,7 @@ pub struct OutOfOrderCore<
     /// (`consumer`), issue-wait attribution (kept unconditionally — cheap,
     /// and keeping it independent of observation guarantees observation
     /// cannot perturb the simulation), and store-forwarding waiters.
-    tables: T,
+    tables: RingTables,
 
     fetch_halted: bool,
     fetch_resume_at: u64,
@@ -448,11 +352,12 @@ impl<I: Iterator<Item = Instruction>> OutOfOrderCore<I> {
     }
 }
 
-impl<I: Iterator<Item = Instruction>> OutOfOrderCore<I, ConventionalWindow, RingTables> {
-    /// Builds a core monomorphized over the conventional window — the
-    /// batched engine's constructor. Cycle-for-cycle identical to
-    /// [`OutOfOrderCore::new`] on the same (conventional) configuration;
-    /// only the dispatch mechanism differs (static instead of virtual).
+impl<I: Iterator<Item = Instruction>> OutOfOrderCore<I, ConventionalWindow> {
+    /// Builds a core monomorphized over the conventional window — what the
+    /// simulation drivers build for conventional configurations.
+    /// Cycle-for-cycle identical to [`OutOfOrderCore::new`] on the same
+    /// configuration; only the dispatch mechanism differs (static instead
+    /// of virtual).
     ///
     /// # Panics
     ///
@@ -471,10 +376,10 @@ impl<I: Iterator<Item = Instruction>> OutOfOrderCore<I, ConventionalWindow, Ring
     }
 }
 
-impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderCore<I, W, T> {
+impl<I: Iterator<Item = Instruction>, W: WindowModel> OutOfOrderCore<I, W> {
     fn with_window(cfg: CoreConfig, trace: I, window: W, wakeup_loop: u64) -> Self {
         let resolver = FetchResolver::live(&cfg);
-        let tables = T::with_capacity(cfg.rob_capacity);
+        let tables = RingTables::with_capacity(cfg.rob_capacity);
         let phys = cfg.phys_regs as usize;
         Self {
             rob: ReorderBuffer::new(cfg.rob_capacity),
@@ -483,7 +388,6 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
             fu: FuPool::new(cfg.fu),
             hierarchy: Hierarchy::new(cfg.hierarchy),
             resolver,
-            coalesce_idle: false,
             next_visible_cache: std::cell::Cell::new(None),
             window,
             wakeup_loop,
@@ -535,14 +439,6 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
             "fetch plan geometry does not match the core config"
         );
         self.resolver = FetchResolver::planned(plan);
-    }
-
-    /// Enables (or disables) idle-cycle coalescing: stretches of cycles in
-    /// which no stage can act are jumped in one step, with observation
-    /// counters bulk-replayed so outcomes stay bit-identical. Off by
-    /// default — the scalar reference steps every cycle.
-    pub fn set_idle_coalescing(&mut self, on: bool) {
-        self.coalesce_idle = on;
     }
 
     /// Touches `addrs` through the data hierarchy before timing starts
@@ -608,6 +504,10 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
     /// for exactly that interval. Call once with a warm-up count and again
     /// with the measurement count to exclude cold-start effects.
     ///
+    /// Stretches of cycles in which no stage can act are jumped in one
+    /// step, with observation counters bulk-replayed, so the outcome is
+    /// exactly that of stepping every cycle.
+    ///
     /// # Panics
     ///
     /// Panics if the core stops committing for `DEADLOCK_LIMIT` cycles
@@ -615,40 +515,33 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
     pub fn run(&mut self, instructions: u64) -> SimResult {
         let start = self.snapshot();
         let target = self.committed + instructions;
-        if self.coalesce_idle {
-            // The skip probe is only consulted after a cycle in which no
-            // stage acted (or after a jump, whose conservative bound can
-            // land on another idle cycle). Active cycles skip the probe
-            // entirely; since idle stretches are preceded by an idle cycle
-            // and stepping one idle cycle records exactly what the bulk
-            // replay would, the gate changes cost, never outcomes.
-            let mut probe = true;
-            while self.committed < target {
-                if probe {
-                    if let Some(t) = self.idle_skip_target() {
-                        self.skip_idle_to(t);
-                        continue;
-                    }
+        // The skip probe is only consulted after a cycle in which no stage
+        // acted (or after a jump, whose conservative bound can land on
+        // another idle cycle). Active cycles skip the probe entirely; since
+        // idle stretches are preceded by an idle cycle and stepping one
+        // idle cycle records exactly what the bulk replay would, the gate
+        // changes cost, never outcomes.
+        let mut probe = true;
+        while self.committed < target {
+            if probe {
+                if let Some(t) = self.idle_skip_target() {
+                    self.skip_idle_to(t);
+                    continue;
                 }
-                // A fully idle cycle leaves all four of these untouched;
-                // any stage acting perturbs at least one (commit bumps
-                // `committed`, fetch bumps `next_seq`, dispatch grows the
-                // ROB net of commits, select shrinks the window net of
-                // dispatches).
-                let committed0 = self.committed;
-                let seq0 = self.next_seq;
-                let rob0 = self.rob.len();
-                let win0 = self.window.len();
-                self.cycle();
-                probe = self.committed == committed0
-                    && self.next_seq == seq0
-                    && self.rob.len() == rob0
-                    && self.window.len() == win0;
             }
-        } else {
-            while self.committed < target {
-                self.cycle();
-            }
+            // A fully idle cycle leaves all four of these untouched; any
+            // stage acting perturbs at least one (commit bumps `committed`,
+            // fetch bumps `next_seq`, dispatch grows the ROB net of
+            // commits, select shrinks the window net of dispatches).
+            let committed0 = self.committed;
+            let seq0 = self.next_seq;
+            let rob0 = self.rob.len();
+            let win0 = self.window.len();
+            self.cycle();
+            probe = self.committed == committed0
+                && self.next_seq == seq0
+                && self.rob.len() == rob0
+                && self.window.len() == win0;
         }
         self.snapshot().since(&start)
     }
@@ -685,19 +578,15 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
         // coalescing entirely. Checked last: it is the only O(entries)
         // probe, and on active cycles one of the O(1) stages above almost
         // always answers first.
-        let visible = if T::TUNED {
-            // Valid between simulated cycles: only `cycle` mutates the
-            // window, and the tuned engine clears the memo there.
-            match self.next_visible_cache.get() {
-                Some(v) => v,
-                None => {
-                    let v = self.window.next_visible_at()?;
-                    self.next_visible_cache.set(Some(v));
-                    v
-                }
+        // The memo is valid between simulated cycles: only `cycle` mutates
+        // the window, and it clears the memo.
+        let visible = match self.next_visible_cache.get() {
+            Some(v) => v,
+            None => {
+                let v = self.window.next_visible_at()?;
+                self.next_visible_cache.set(Some(v));
+                v
             }
-        } else {
-            self.window.next_visible_at()?
         };
         if visible <= now {
             return None;
@@ -791,9 +680,7 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
     }
 
     fn cycle(&mut self) {
-        if T::TUNED {
-            self.next_visible_cache.set(None);
-        }
+        self.next_visible_cache.set(None);
         self.commit();
         self.issue();
         self.dispatch();
@@ -832,11 +719,7 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
             self.committed += 1;
         }
         let last = done.last().expect("nonempty").seq;
-        if T::TUNED {
-            self.lsq.retire_through_fast(last);
-        } else {
-            self.lsq.retire_through(last);
-        }
+        self.lsq.retire_through(last);
         self.committed_scratch = done;
     }
 
@@ -850,13 +733,8 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
         }
         let mut selected = std::mem::take(&mut self.selected_scratch);
         selected.clear();
-        if T::TUNED {
-            self.window
-                .select_into_tuned(self.now, &mut budget, &mut selected);
-        } else {
-            self.window
-                .select_into(self.now, &mut budget, &mut selected);
-        }
+        self.window
+            .select_into(self.now, &mut budget, &mut selected);
         if self.observation.is_some() {
             let issued = selected.len() as u32;
             // Classification reads post-select window state: leftover
@@ -982,12 +860,7 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
                         // architecturally visible (ready now). Data comes
                         // from the store queue one cycle after both the load
                         // has issued and the store data is up.
-                        let data_ready = if T::TUNED {
-                            self.lsq.store_data_ready_fast(store_seq)
-                        } else {
-                            self.lsq.store_data_ready(store_seq)
-                        }
-                        .unwrap_or(now);
+                        let data_ready = self.lsq.store_data_ready(store_seq).unwrap_or(now);
                         assert!(
                             data_ready != u64::MAX,
                             "load issued before forwarding store executed"
@@ -1052,11 +925,7 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
         }
         if info.op == OpClass::Store {
             let data_ready = now + exec;
-            if T::TUNED {
-                self.lsq.store_executed_fast(seq, data_ready);
-            } else {
-                self.lsq.store_executed(seq, data_ready);
-            }
+            self.lsq.store_executed(seq, data_ready);
             // Store data forwards through the LSQ, not the bypass network:
             // no cluster adjustment.
             self.wake_store(seq, data_ready);
@@ -1069,11 +938,7 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
             self.fetch_halted = false;
             self.recover_until = self.fetch_resume_at + self.cfg.depths.front_end();
         }
-        if T::TUNED {
-            self.rob.complete_indexed(seq, complete);
-        } else {
-            self.rob.complete(seq, complete);
-        }
+        self.rob.complete(seq, complete);
     }
 
     /// Effective latency of an L1 miss starting at `now`, accounting for
@@ -1256,11 +1121,7 @@ impl<I: Iterator<Item = Instruction>, W: WindowModel, T: WaitTables> OutOfOrderC
         if op == OpClass::Load {
             let addr = inst.mem_addr.expect("load without address");
             self.lsq.insert_load(seq, addr).expect("load space checked");
-            let src = if T::TUNED {
-                self.lsq.load_source_fast(seq, addr)
-            } else {
-                self.lsq.load_source(seq, addr)
-            };
+            let src = self.lsq.load_source(seq, addr);
             if let LoadSource::Forward {
                 store_seq,
                 data_ready,

@@ -1297,12 +1297,12 @@ impl Engine {
     ///
     /// Warm cells come from the LRU (or read through from the persistent
     /// tier); the cold remainder is grouped by benchmark and simulated
-    /// with the lane-parallel batched engine
-    /// ([`fo4depth_study::cells::run_cell_group`]) — one pass over each
-    /// benchmark's shared arena drives every cold clock point of that
-    /// benchmark. Batched and scalar fills are bit-identical (the
+    /// through [`fo4depth_study::cells::run_cell_group`] — for the
+    /// out-of-order core, one lane-batched pass over each benchmark's
+    /// shared arena drives every cold clock point of that benchmark.
+    /// Batched and per-cell fills are bit-identical (the
     /// `tests/batched_equivalence.rs` harness pins this), so a sweep
-    /// freely mixes cells warmed by the scalar `/v1/run` path with cold
+    /// freely mixes cells warmed by the per-cell `/v1/run` path with cold
     /// batched fills, and the result is byte-identical to the offline
     /// `depth_sweep_*` path at any pool size.
     ///
@@ -1393,8 +1393,9 @@ impl Engine {
             .collect()
     }
 
-    /// Simulates every still-unresolved cell locally with the
-    /// lane-parallel batched engine, filling `outcomes` in place.
+    /// Simulates every still-unresolved cell locally, one
+    /// [`fo4depth_study::cells::run_cell_group`] per benchmark, filling
+    /// `outcomes` in place.
     fn fill_local(&self, cells: &[CellSpec], outcomes: &mut [Option<Arc<BenchOutcome>>]) {
         // Group the cold cells by benchmark: cells of one benchmark share
         // an arena and a fetch plan, so each group is one lane batch (and

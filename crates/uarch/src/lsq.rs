@@ -65,12 +65,10 @@ pub struct LoadStoreQueue {
     load_capacity: usize,
     store_capacity: usize,
     forwards: u64,
-    /// First live index of `stores` under the `*_fast` method family; the
-    /// reference family compacts eagerly and keeps this at zero. A queue
-    /// instance only ever sees one family, so the two representations
-    /// never mix.
+    /// First live index of `stores`: retirement advances it and compacts
+    /// the dead prefix lazily.
     store_head: usize,
-    /// First live index of `loads` under the `*_fast` family.
+    /// First live index of `loads`.
     load_head: usize,
 }
 
@@ -108,6 +106,8 @@ impl LoadStoreQueue {
     }
 
     /// Records an in-flight store with the cycle its data will be ready.
+    /// Entries of each kind must arrive in ascending sequence order
+    /// (dispatch order).
     ///
     /// # Errors
     ///
@@ -138,67 +138,11 @@ impl LoadStoreQueue {
     }
 
     /// Where the load numbered `seq` at `addr` gets its data: the youngest
-    /// older store to the same 8-byte word, or the cache.
+    /// older store to the same 8-byte word, or the cache. Stores arrive in
+    /// sequence order, so the first match scanning from the rear *is* the
+    /// youngest older store.
     #[must_use]
     pub fn load_source(&mut self, seq: u64, addr: u64) -> LoadSource {
-        let word = addr >> 3;
-        let hit = self
-            .stores
-            .iter()
-            .filter(|s| s.seq < seq && s.word_addr == word)
-            .max_by_key(|s| s.seq);
-        match hit {
-            Some(s) => {
-                self.forwards += 1;
-                LoadSource::Forward {
-                    store_seq: s.seq,
-                    data_ready: s.data_ready,
-                }
-            }
-            None => LoadSource::Cache,
-        }
-    }
-
-    /// Data-ready cycle of the in-flight store numbered `seq`, or `None`
-    /// if it already retired (its data is then architecturally visible).
-    #[must_use]
-    pub fn store_data_ready(&self, seq: u64) -> Option<u64> {
-        self.stores
-            .iter()
-            .find(|s| s.seq == seq)
-            .map(|s| s.data_ready)
-    }
-
-    /// Records that the store numbered `seq` has executed and its data is
-    /// available from `data_ready` (stores are inserted at dispatch with
-    /// `u64::MAX`).
-    pub fn store_executed(&mut self, seq: u64, data_ready: u64) {
-        if let Some(s) = self.stores.iter_mut().find(|s| s.seq == seq) {
-            s.data_ready = s.data_ready.min(data_ready);
-        }
-    }
-
-    /// Retires every queue entry older than or equal to `seq` (called as
-    /// instructions commit).
-    pub fn retire_through(&mut self, seq: u64) {
-        self.stores.retain(|s| s.seq > seq);
-        self.loads.retain(|&l| l > seq);
-    }
-
-    // ---- tuned method family -------------------------------------------
-    //
-    // Same key/value semantics as the methods above, exploited for the
-    // batched engine: entries arrive in ascending sequence order (dispatch
-    // order), so retirement is a head-index advance instead of a `retain`
-    // over the whole queue, point lookups are binary searches, and the
-    // forwarding scan walks backwards with an early exit (the first match
-    // from the rear *is* the youngest older store). The scalar reference
-    // keeps the straight-line seed implementations; the differential
-    // harness proves the two families byte-identical through whole sweeps.
-
-    /// [`LoadStoreQueue::load_source`] with a rear-to-front early-exit scan.
-    #[must_use]
-    pub fn load_source_fast(&mut self, seq: u64, addr: u64) -> LoadSource {
         let word = addr >> 3;
         let hit = self.stores[self.store_head..]
             .iter()
@@ -224,24 +168,28 @@ impl LoadStoreQueue {
         (i < live.len() && live[i].seq == seq).then_some(self.store_head + i)
     }
 
-    /// [`LoadStoreQueue::store_data_ready`] by binary search.
+    /// Data-ready cycle of the in-flight store numbered `seq`, or `None`
+    /// if it already retired (its data is then architecturally visible).
     #[must_use]
-    pub fn store_data_ready_fast(&self, seq: u64) -> Option<u64> {
+    pub fn store_data_ready(&self, seq: u64) -> Option<u64> {
         self.store_index(seq).map(|i| self.stores[i].data_ready)
     }
 
-    /// [`LoadStoreQueue::store_executed`] by binary search.
-    pub fn store_executed_fast(&mut self, seq: u64, data_ready: u64) {
+    /// Records that the store numbered `seq` has executed and its data is
+    /// available from `data_ready` (stores are inserted at dispatch with
+    /// `u64::MAX`).
+    pub fn store_executed(&mut self, seq: u64, data_ready: u64) {
         if let Some(i) = self.store_index(seq) {
             let s = &mut self.stores[i];
             s.data_ready = s.data_ready.min(data_ready);
         }
     }
 
-    /// [`LoadStoreQueue::retire_through`] as an amortized-O(1) head
-    /// advance, compacting only when a queue fully drains or the dead
-    /// prefix outgrows the live capacity.
-    pub fn retire_through_fast(&mut self, seq: u64) {
+    /// Retires every queue entry older than or equal to `seq` (called as
+    /// instructions commit): an amortized-O(1) head advance, compacting
+    /// only when a queue fully drains or the dead prefix outgrows four
+    /// times the live capacity.
+    pub fn retire_through(&mut self, seq: u64) {
         while self
             .stores
             .get(self.store_head)
@@ -287,6 +235,170 @@ impl LoadStoreQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The straight-line queue semantics the indexed implementation must
+    /// reproduce: a forwarding scan over every store for the youngest
+    /// older match, `find`-based store lookup and execute, and `retain`
+    /// retirement.
+    #[derive(Debug)]
+    struct ReferenceQueue {
+        stores: Vec<StoreRecord>,
+        loads: Vec<u64>,
+        load_capacity: usize,
+        store_capacity: usize,
+        forwards: u64,
+    }
+
+    impl ReferenceQueue {
+        fn new(load_capacity: usize, store_capacity: usize) -> Self {
+            Self {
+                stores: Vec::new(),
+                loads: Vec::new(),
+                load_capacity,
+                store_capacity,
+                forwards: 0,
+            }
+        }
+
+        fn has_load_space(&self) -> bool {
+            self.loads.len() < self.load_capacity
+        }
+
+        fn has_store_space(&self) -> bool {
+            self.stores.len() < self.store_capacity
+        }
+
+        fn insert_store(&mut self, seq: u64, addr: u64, data_ready: u64) -> Result<(), QueueFull> {
+            if !self.has_store_space() {
+                return Err(QueueFull);
+            }
+            self.stores.push(StoreRecord {
+                seq,
+                word_addr: addr >> 3,
+                data_ready,
+            });
+            Ok(())
+        }
+
+        fn insert_load(&mut self, seq: u64) -> Result<(), QueueFull> {
+            if !self.has_load_space() {
+                return Err(QueueFull);
+            }
+            self.loads.push(seq);
+            Ok(())
+        }
+
+        fn load_source(&mut self, seq: u64, addr: u64) -> LoadSource {
+            let word = addr >> 3;
+            let hit = self
+                .stores
+                .iter()
+                .filter(|s| s.seq < seq && s.word_addr == word)
+                .max_by_key(|s| s.seq);
+            match hit {
+                Some(s) => {
+                    self.forwards += 1;
+                    LoadSource::Forward {
+                        store_seq: s.seq,
+                        data_ready: s.data_ready,
+                    }
+                }
+                None => LoadSource::Cache,
+            }
+        }
+
+        fn store_data_ready(&self, seq: u64) -> Option<u64> {
+            self.stores
+                .iter()
+                .find(|s| s.seq == seq)
+                .map(|s| s.data_ready)
+        }
+
+        fn store_executed(&mut self, seq: u64, data_ready: u64) {
+            if let Some(s) = self.stores.iter_mut().find(|s| s.seq == seq) {
+                s.data_ready = s.data_ready.min(data_ready);
+            }
+        }
+
+        fn retire_through(&mut self, seq: u64) {
+            self.stores.retain(|s| s.seq > seq);
+            self.loads.retain(|&l| l > seq);
+        }
+
+        fn occupancy(&self) -> (usize, usize) {
+            (self.loads.len(), self.stores.len())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random in-order insert / execute / load-source / retire
+        /// sequences drive the queue and the reference in lockstep. Small
+        /// capacities make full drains and the 4×-capacity compaction of
+        /// a long dead prefix both common.
+        #[test]
+        fn queue_matches_the_reference_model(
+            load_capacity in 1usize..4,
+            store_capacity in 1usize..4,
+            ops in proptest::collection::vec((0u8..5, 0u64..6, 0u64..40), 1..300),
+        ) {
+            let mut lsq = LoadStoreQueue::new(load_capacity, store_capacity);
+            let mut model = ReferenceQueue::new(load_capacity, store_capacity);
+            let mut next_seq = 0u64;
+            let mut retired = 0u64;
+            let mut store_seqs: Vec<u64> = Vec::new();
+            for (kind, word, x) in ops {
+                let addr = word * 8 + x % 8;
+                match kind {
+                    0 => {
+                        let ready = if x % 3 == 0 { u64::MAX } else { x };
+                        prop_assert_eq!(
+                            lsq.insert_store(next_seq, addr, ready),
+                            model.insert_store(next_seq, addr, ready)
+                        );
+                        store_seqs.push(next_seq);
+                        next_seq += 1 + x % 3;
+                    }
+                    1 => {
+                        let inserted = lsq.insert_load(next_seq, addr);
+                        prop_assert_eq!(inserted, model.insert_load(next_seq));
+                        if inserted.is_ok() {
+                            prop_assert_eq!(
+                                lsq.load_source(next_seq, addr),
+                                model.load_source(next_seq, addr)
+                            );
+                        }
+                        next_seq += 1 + x % 3;
+                    }
+                    2 => {
+                        // Forwarding as seen from any in-flight position.
+                        let seq = retired + x % (next_seq - retired + 1);
+                        prop_assert_eq!(lsq.load_source(seq, addr), model.load_source(seq, addr));
+                    }
+                    3 if !store_seqs.is_empty() => {
+                        let seq = store_seqs[(x as usize) % store_seqs.len()];
+                        lsq.store_executed(seq, x);
+                        model.store_executed(seq, x);
+                        prop_assert_eq!(lsq.store_data_ready(seq), model.store_data_ready(seq));
+                    }
+                    _ => {
+                        retired = (retired + x % 8).min(next_seq);
+                        lsq.retire_through(retired);
+                        model.retire_through(retired);
+                    }
+                }
+                prop_assert_eq!(lsq.occupancy(), model.occupancy());
+                prop_assert_eq!(lsq.has_load_space(), model.has_load_space());
+                prop_assert_eq!(lsq.has_store_space(), model.has_store_space());
+                prop_assert_eq!(lsq.forward_count(), model.forwards);
+            }
+            for &seq in &store_seqs {
+                prop_assert_eq!(lsq.store_data_ready(seq), model.store_data_ready(seq));
+            }
+        }
+    }
 
     #[test]
     fn forwards_from_youngest_older_store() {

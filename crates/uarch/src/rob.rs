@@ -85,43 +85,30 @@ impl ReorderBuffer {
         Some(seq)
     }
 
-    /// Marks `seq` complete at `cycle`.
+    /// Marks `seq` complete at `cycle`. Cores allocate every fetched
+    /// instruction, so occupied entries almost always carry contiguous
+    /// sequence numbers and `seq` sits at offset `seq - front.seq`; when
+    /// that guess misses (sparse allocation) the entry is found by scan.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is not in the buffer.
     pub fn complete(&mut self, seq: u64, cycle: u64) {
-        let e = self
+        let guess = self
             .entries
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .expect("completing unknown ROB entry");
+            .front()
+            .and_then(|front| seq.checked_sub(front.seq))
+            .and_then(|idx| usize::try_from(idx).ok())
+            .filter(|&idx| self.entries.get(idx).is_some_and(|e| e.seq == seq));
+        let e = match guess {
+            Some(idx) => &mut self.entries[idx],
+            None => self
+                .entries
+                .iter_mut()
+                .find(|e| e.seq == seq)
+                .expect("completing unknown ROB entry"),
+        };
         e.complete_at = e.complete_at.min(cycle);
-    }
-
-    /// [`ReorderBuffer::complete`] with an O(1) fast path: cores allocate
-    /// every fetched instruction, so occupied entries almost always carry
-    /// contiguous sequence numbers and `seq` sits at offset
-    /// `seq - front.seq`. Falls back to the scan when the guess misses
-    /// (sparse allocation, as some unit tests exercise). Identical
-    /// observable behaviour to [`ReorderBuffer::complete`]; the batched
-    /// engine uses this, the scalar reference keeps the plain scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not in the buffer.
-    pub fn complete_indexed(&mut self, seq: u64, cycle: u64) {
-        if let Some(front) = self.entries.front() {
-            if let Some(idx) = seq.checked_sub(front.seq) {
-                if let Some(e) = self.entries.get_mut(idx as usize) {
-                    if e.seq == seq {
-                        e.complete_at = e.complete_at.min(cycle);
-                        return;
-                    }
-                }
-            }
-        }
-        self.complete(seq, cycle);
     }
 
     /// Completion cycle of the head entry (`u64::MAX` until it executes),
@@ -218,6 +205,33 @@ mod tests {
         rob.complete(0, 3);
         let done = rob.commit_ready(3, 1);
         assert_eq!(done[0].free_on_commit, Some(77));
+    }
+
+    #[test]
+    fn complete_finds_entries_of_a_sparse_allocation() {
+        // Non-contiguous seqs: the offset guess either runs past the end
+        // (9 at offset 9 of four entries) or lands on another entry (2 at
+        // offset 2 holds 5), so the scan fallback must find them.
+        let mut rob = ReorderBuffer::new(8);
+        for seq in [0, 2, 5, 9] {
+            rob.allocate(seq, None).unwrap();
+        }
+        rob.complete(9, 4);
+        rob.complete(2, 3);
+        rob.complete(0, 1);
+        assert_eq!(rob.commit_ready(3, 4).len(), 2, "0 and 2 commit; 5 blocks");
+        rob.complete(5, 2);
+        let seqs: Vec<u64> = rob.commit_ready(4, 4).iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![5, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "completing unknown ROB entry")]
+    fn completing_an_absent_entry_panics() {
+        let mut rob = ReorderBuffer::new(4);
+        rob.allocate(0, None).unwrap();
+        rob.allocate(3, None).unwrap();
+        rob.complete(2, 1);
     }
 
     #[test]

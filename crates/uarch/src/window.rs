@@ -116,20 +116,6 @@ pub trait WindowModel: std::fmt::Debug {
     /// path; reusing one buffer keeps that path allocation-free.
     fn select_into(&mut self, now: u64, budget: &mut IssueBudget, out: &mut Vec<WindowEntry>);
 
-    /// [`select_into`](Self::select_into) for the tuned (batched) engine:
-    /// identical selection decisions and surviving-entry order, but an
-    /// organization may override it with a cheaper removal strategy. The
-    /// default delegates to the reference implementation, so exotic models
-    /// are correct for free; the scalar reference core never calls this.
-    fn select_into_tuned(
-        &mut self,
-        now: u64,
-        budget: &mut IssueBudget,
-        out: &mut Vec<WindowEntry>,
-    ) {
-        self.select_into(now, budget, out);
-    }
-
     /// Lowers the ready time of entry `seq` to `ready_at` (used by cores
     /// that insert entries with `u64::MAX` while producers are unissued and
     /// wake them when the last producer schedules). No-op if `seq` is not
@@ -162,11 +148,11 @@ pub trait WindowModel: std::fmt::Debug {
     }
 }
 
-/// The boxed trait object the scalar reference core stores: dynamic
-/// dispatch keeps that core's window pluggable at runtime (conventional,
-/// segmented, speculative) at the cost of a virtual call per stage probe.
-/// The batched engine instead monomorphizes the core over a concrete
-/// window type; this delegating impl lets both share one generic core.
+/// The boxed trait object a core stores when its window organization is
+/// chosen at runtime (conventional, segmented, speculative), at the cost
+/// of a virtual call per stage probe. The conventional configuration
+/// instead monomorphizes the core over [`ConventionalWindow`]; this
+/// delegating impl lets both share one generic core.
 impl WindowModel for Box<dyn WindowModel + Send> {
     fn has_space(&self) -> bool {
         (**self).has_space()
@@ -186,15 +172,6 @@ impl WindowModel for Box<dyn WindowModel + Send> {
 
     fn select_into(&mut self, now: u64, budget: &mut IssueBudget, out: &mut Vec<WindowEntry>) {
         (**self).select_into(now, budget, out);
-    }
-
-    fn select_into_tuned(
-        &mut self,
-        now: u64,
-        budget: &mut IssueBudget,
-        out: &mut Vec<WindowEntry>,
-    ) {
-        (**self).select_into_tuned(now, budget, out);
     }
 
     fn set_ready(&mut self, seq: u64, ready_at: u64) {
@@ -285,33 +262,11 @@ impl WindowModel for ConventionalWindow {
         }
     }
 
+    /// Single forward pass compacting survivors in place: entries are
+    /// considered oldest first and the budget is consumed in that order,
+    /// so each select costs one O(len) sweep rather than an O(len) shift
+    /// per selected entry.
     fn select_into(&mut self, now: u64, budget: &mut IssueBudget, out: &mut Vec<WindowEntry>) {
-        let wake = self.wakeup_latency - 1;
-        let mut i = 0;
-        while i < self.entries.len() {
-            if budget.total == 0 {
-                break;
-            }
-            let e = self.entries[i];
-            if e.ready_at.saturating_add(wake) <= now && budget.take(e.port) {
-                out.push(self.entries.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Single forward pass compacting survivors in place: the same
-    /// entries are selected in the same order as the reference's
-    /// scan-and-`remove` loop (the budget is consumed in identical
-    /// order), but each select costs one O(len) sweep instead of an
-    /// O(len) shift per selected entry.
-    fn select_into_tuned(
-        &mut self,
-        now: u64,
-        budget: &mut IssueBudget,
-        out: &mut Vec<WindowEntry>,
-    ) {
         let wake = self.wakeup_latency - 1;
         let mut kept = 0;
         for i in 0..self.entries.len() {

@@ -48,8 +48,8 @@ fn main() {
     ));
     for t in [2.0, 4.0, 6.0, 8.0, 12.0, 16.0] {
         let m = ScaledMachine::at(&structures, Fo4::new(t), Fo4::new(1.8));
-        let ino = run_inorder(&m.config, &arena, &params);
-        let ooo = run_ooo(&m.config, &arena, &params);
+        let ino = run_inorder(&m.config, &arena, &params, false);
+        let ooo = run_ooo(&m.config, &arena, &params, false);
         println!(
             "  {:>8.1} {:>7.2} {:>5} {:>5} {:>5} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
             t,

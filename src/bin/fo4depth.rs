@@ -36,8 +36,8 @@ use fo4depth::study::scaler::ScaledMachine;
 use fo4depth::study::sim::{run_inorder, run_ooo, SimParams};
 use fo4depth::study::sweep::{
     adaptive_sweep_arenas, adaptive_sweep_spec, auto_lanes, build_arenas, depth_sweep_arenas,
-    depth_sweep_arenas_batched, depth_sweep_spec, depth_sweep_spec_batched, standard_points,
-    AdaptiveSweep, CoreKind, DepthSweep, SweepSpec,
+    depth_sweep_arenas_batched, depth_sweep_spec_batched, standard_points, AdaptiveSweep, CoreKind,
+    DepthSweep, SweepSpec,
 };
 use fo4depth::study::validation::{self, Bands};
 use fo4depth::study::yield_sweep::yield_sweep_spec;
@@ -82,8 +82,9 @@ fn usage() -> ExitCode {
                 [--tolerance FO4] [--coarse-step N] [--seed-clock FO4] [--shards N]\n\
                   time the fixed sweep workload (trace generation and\n\
                   simulation split out); emit a JSON bench report; unless\n\
-                  --batch-lanes off, also time the lane-batched engine and\n\
-                  verify it against the scalar sweep bit-for-bit; unless\n\
+                  --batch-lanes is off or 1, also time the lane-batched\n\
+                  sweep and verify it against the per-cell sweep\n\
+                  bit-for-bit; unless\n\
                   --sweep-mode dense, also time the adaptive planner and\n\
                   verify it lands on the dense optimum; with --shards N,\n\
                   also time the routed full-OOO sweep through 1 vs N\n\
@@ -181,29 +182,28 @@ fn benches_from(args: &mut Args) -> Result<Vec<BenchProfile>, ArgError> {
     }
 }
 
-/// How `--batch-lanes` sizes the lane-batched engine's point batches.
+/// How `--batch-lanes` sizes a sweep's per-benchmark point batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneMode {
-    /// The scalar reference path.
+    /// One cell per task.
     Off,
     /// All of a benchmark's clock points in one batch.
     Max,
     /// A fixed lane cap.
     Fixed(usize),
     /// The per-core measured-best cap ([`auto_lanes`]): every point for
-    /// the out-of-order core, at most four lanes for the in-order core.
+    /// the out-of-order core, one cell per task for the in-order core.
     Auto,
 }
 
 impl LaneMode {
-    /// The lane cap for one core's sweep over `points` clock points, or
-    /// `None` for the scalar path.
-    fn resolve(self, core: CoreKind, points: usize) -> Option<usize> {
+    /// The lane cap for one core's sweep over `points` clock points.
+    fn resolve(self, core: CoreKind, points: usize) -> usize {
         match self {
-            LaneMode::Off => None,
-            LaneMode::Max => Some(points.max(1)),
-            LaneMode::Fixed(n) => Some(n.min(points.max(1))),
-            LaneMode::Auto => Some(auto_lanes(core, points)),
+            LaneMode::Off => 1,
+            LaneMode::Max => points.max(1),
+            LaneMode::Fixed(n) => n.min(points.max(1)),
+            LaneMode::Auto => auto_lanes(core, points),
         }
     }
 }
@@ -300,8 +300,7 @@ fn cmd_sweep(mut args: Args) -> Result<ExitCode, ArgError> {
     let overhead = args.take_opt("--overhead")?.unwrap_or(1.8);
     let csv = args.take_flag("--csv");
     let quick = args.take_flag("--quick");
-    // Default off: the scalar path is the reference implementation; the
-    // batched engine is opt-in here (perf defaults it on and verifies).
+    // Default off (one cell per task); perf defaults to full batches.
     let batch = batch_lanes_from(&mut args, LaneMode::Off)?;
     let (mode, adaptive_config) = sweep_mode_from(&mut args, SweepMode::Dense)?;
     let mut params = params_from(&mut args)?;
@@ -325,10 +324,7 @@ fn cmd_sweep(mut args: Args) -> Result<ExitCode, ArgError> {
     let pool = fo4depth::exec::global();
     let lanes = batch.resolve(core, points.len());
     let sweep = match mode {
-        SweepMode::Dense => match lanes {
-            Some(lanes) => depth_sweep_spec_batched(&spec, pool, lanes),
-            None => depth_sweep_spec(&spec, pool),
-        },
+        SweepMode::Dense => depth_sweep_spec_batched(&spec, pool, lanes),
         SweepMode::Adaptive => {
             let adaptive = adaptive_sweep_spec(&spec, pool, lanes, &adaptive_config);
             adaptive_summary(&adaptive);
@@ -361,8 +357,8 @@ fn cmd_bench(mut args: Args) -> Result<ExitCode, ArgError> {
         params.seed,
         params.trace_len(),
     ));
-    let ooo = run_ooo(&machine.config, &arena, &params);
-    let ino = run_inorder(&machine.config, &arena, &params);
+    let ooo = run_ooo(&machine.config, &arena, &params, false);
+    let ino = run_inorder(&machine.config, &arena, &params, false);
     println!(
         "{name} at t_useful {t} FO4 ({:.2} GHz at 100 nm):",
         1000.0 / machine.period_ps()
@@ -538,7 +534,7 @@ fn cmd_yield(mut args: Args) -> Result<ExitCode, ArgError> {
     };
     let pool = fo4depth::exec::global();
     let lanes = batch.resolve(core, points.len());
-    let sweep = yield_sweep_spec(&spec, variation, pool, lanes)
+    let sweep = yield_sweep_spec(&spec, variation, pool, Some(lanes))
         .map_err(|e| ArgError(e.message().to_string()))?;
     println!(
         "yield-aware depth sweep: {} core, overhead {overhead} FO4, {} dies (seed {})",
@@ -585,7 +581,7 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
     let core = core_from(&mut args)?;
     let quick = args.take_flag("--quick");
     let out_path = args.take_opt::<String>("--out")?;
-    // Default off, like `sweep`: the scalar path is the reference.
+    // Default off, like `sweep`.
     let batch = batch_lanes_from(&mut args, LaneMode::Off)?;
     let (mode, adaptive_config) = sweep_mode_from(&mut args, SweepMode::Dense)?;
     let mut params = params_from(&mut args)?;
@@ -630,13 +626,10 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
                 adaptive_sweep_spec(&spec, fo4depth::exec::global(), lanes, &adaptive_config);
             report::adaptive_sweep_json(&adaptive, &params)
         }
-        SweepMode::Dense => match lanes {
-            Some(lanes) => {
-                let sweep = depth_sweep_spec_batched(&spec, fo4depth::exec::global(), lanes);
-                report::sweep_json(&sweep, &params)
-            }
-            None => report::generate(core, &profs, &params, &points),
-        },
+        SweepMode::Dense => {
+            let sweep = depth_sweep_spec_batched(&spec, fo4depth::exec::global(), lanes);
+            report::sweep_json(&sweep, &params)
+        }
     };
     let text = doc.pretty();
     match out_path {
@@ -700,7 +693,7 @@ fn spawn_shard(jobs: usize) -> Result<(ShardProc, String), ArgError> {
 /// Both measurements use fresh shard subprocesses and fresh router engines,
 /// so both are equally cold; each shard gets the router's own `--jobs`, so
 /// the fleet's advantage is pure horizontal scale. Byte-identity against
-/// the local scalar `reference` sweep is asserted, not sampled.
+/// the local per-cell `reference` sweep is asserted, not sampled.
 fn shard_perf(
     shards: usize,
     params: &SimParams,
@@ -758,7 +751,7 @@ fn shard_perf(
     if let Some(reference) = reference {
         assert_eq!(
             &fleet_sweep, reference,
-            "routed sweep diverged from the local scalar reference"
+            "routed sweep diverged from the local per-cell sweep"
         );
     }
     let speedup = single_sim / fleet_sim;
@@ -793,8 +786,8 @@ fn cmd_perf(mut args: Args) -> Result<ExitCode, ArgError> {
     apply_jobs(&mut args)?;
     let quick = args.take_flag("--quick");
     let out_path = args.take_opt::<String>("--out")?;
-    // Default on: every perf run times the batched engine alongside the
-    // scalar reference and asserts they agree bit-for-bit.
+    // Default on: every perf run times the lane-batched sweep alongside the
+    // per-cell sweep and asserts they agree bit-for-bit.
     let batch = batch_lanes_from(&mut args, LaneMode::Max)?;
     // Default adaptive: every perf run also times the adaptive planner and
     // asserts it lands on the dense optimum. `--sweep-mode dense` skips it.
@@ -861,13 +854,13 @@ fn cmd_perf(mut args: Args) -> Result<ExitCode, ArgError> {
         total_cycles += cycles;
         total_rate = cycles as f64 / sim;
         let lanes = batch.resolve(core, points.len());
-        let batched = lanes.map(|lanes| {
+        let batched = (lanes > 1).then(|| {
             let batched_start = std::time::Instant::now();
             let batched_sweep = depth_sweep_arenas_batched(&spec, &arenas, pool, lanes);
             let batched_sim = batched_start.elapsed().as_secs_f64();
             assert_eq!(
                 batched_sweep, sweep,
-                "batched sweep diverged from the scalar reference"
+                "batched sweep diverged from the per-cell sweep"
             );
             (lanes, batched_sim)
         });
@@ -964,7 +957,7 @@ fn cmd_perf(mut args: Args) -> Result<ExitCode, ArgError> {
         let mc_cells = plan.sample_cells();
         let lanes = batch.resolve(CoreKind::OutOfOrder, points.len());
         let mc_start = std::time::Instant::now();
-        let sweep = run_yield_plan(&plan, &arenas, pool, lanes);
+        let sweep = run_yield_plan(&plan, &arenas, pool, Some(lanes));
         let mc_sim = mc_start.elapsed().as_secs_f64();
         let (nom_t, nom_bips) = sweep.nominal_optimum();
         let (mc_t, mc_yw) = sweep.yield_optimum_mc();

@@ -73,9 +73,8 @@ fn redensified_adaptive_sweep_matches_dense_bitwise_everywhere() {
             let (best_t, best_bips) = dense.optimum(None);
             for jobs in [1, max] {
                 let pool = Pool::new(jobs);
-                for lanes in [None, Some(2), Some(auto_lanes(core, points.len()))] {
-                    let context =
-                        format!("{core:?} observed={observed} jobs={jobs} lanes={lanes:?}");
+                for lanes in [1, 2, auto_lanes(core, points.len())] {
+                    let context = format!("{core:?} observed={observed} jobs={jobs} lanes={lanes}");
                     let a = adaptive_sweep_arenas(
                         &spec,
                         &arenas,

@@ -1,11 +1,15 @@
-//! Differential equivalence of the lane-parallel batched engine against
-//! the scalar reference path.
+//! Differential equivalence of the lane driver against the per-cell
+//! driver.
 //!
-//! The scalar sweep ([`depth_sweep_arenas`], [`CellSpec::run`]) is the
-//! repository's oracle: it is the seed implementation, untouched by the
-//! batched engine's tuned data structures. Every batched entry point —
-//! whole sweeps, per-benchmark lane groups, the serve tier's cell-granular
-//! assembly — must reproduce it **byte for byte**: cycles, BIPS inputs,
+//! There is one simulation engine: both drivers build the same core
+//! structures, and the engine's reference is the golden ledger of recorded
+//! cell digests (`tests/golden_cells.rs`). What this harness pins is the
+//! driving. Sweeps are dispatched by lane count — out-of-order groups of
+//! two or more cells take one lockstep pass over a shared arena, every
+//! other cell runs on its own — and every shape must reproduce the
+//! per-cell sweep ([`depth_sweep_arenas`], [`CellSpec::run`]) **byte for
+//! byte**: whole sweeps at any lane count, per-benchmark lane groups, and
+//! the serve tier's cell-granular assembly — cycles, BIPS inputs,
 //! per-cause stall counters, occupancy histograms, and the optimum depth
 //! they imply. Any divergence is localized by the shared
 //! [`common::assert_sweeps_bitwise_eq`] diagnostic down to the
@@ -19,7 +23,7 @@ use fo4depth::exec::Pool;
 use fo4depth::study::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec};
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::scaler::ScaledMachine;
-use fo4depth::study::sim::{run_ooo, run_ooo_batched, run_ooo_observed, BenchOutcome, SimParams};
+use fo4depth::study::sim::{run_ooo, run_ooo_batched, BenchOutcome, SimParams};
 use fo4depth::study::sweep::{
     build_arenas, depth_sweep_arenas, depth_sweep_arenas_batched, depth_sweep_with, CoreKind,
     SweepSpec,
@@ -51,10 +55,10 @@ fn test_points() -> Vec<Fo4> {
     [3.0, 6.8, 12.0].into_iter().map(Fo4::new).collect()
 }
 
-/// The tentpole guarantee: for both cores, observed and unobserved, and
-/// every lane-count shape (serial lanes, even splits, ragged tails, one
-/// all-points batch), the batched sweep is bit-identical to the scalar
-/// reference over the same arenas.
+/// For both cores, observed and unobserved, and every lane-count shape
+/// (serial lanes, even splits, ragged tails, one all-points batch), the
+/// batched sweep is bit-identical to the per-cell sweep over the same
+/// arenas.
 #[test]
 fn batched_sweep_is_bit_identical_to_scalar() {
     let profs = test_profiles();
@@ -88,7 +92,7 @@ fn batched_sweep_is_bit_identical_to_scalar() {
 }
 
 /// A lane batch is one pool task: the batched sweep must be `--jobs`
-/// invariant, like the scalar engine it mirrors.
+/// invariant, like the per-cell sweep.
 #[test]
 fn batched_sweep_is_pool_size_invariant() {
     let profs = test_profiles();
@@ -147,13 +151,7 @@ fn non_conventional_windows_batch_bit_identically() {
         let batched = run_ooo_batched(&configs, &arenas[0], &params, observed);
         let scalar: Vec<BenchOutcome> = configs
             .iter()
-            .map(|cfg| {
-                if observed {
-                    run_ooo_observed(cfg, &arenas[0], &params)
-                } else {
-                    run_ooo(cfg, &arenas[0], &params)
-                }
-            })
+            .map(|cfg| run_ooo(cfg, &arenas[0], &params, observed))
             .collect();
         common::assert_outcomes_bitwise_eq(
             &format!("mixed-window batch, observed={observed}"),
@@ -164,9 +162,9 @@ fn non_conventional_windows_batch_bit_identically() {
 }
 
 /// The serve tier's cache-fill seam: a lane group filled through
-/// [`run_cell_group`] returns, cell for cell, exactly what the scalar
+/// [`run_cell_group`] returns, cell for cell, exactly what the per-cell
 /// [`CellSpec::run`] returns — so a batch-filled cache entry and a
-/// scalar-filled one are interchangeable.
+/// per-cell one are interchangeable.
 #[test]
 fn cell_group_matches_scalar_cells() {
     let profs = test_profiles();

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use fo4depth::exec::Pool;
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::scaler::ScaledMachine;
-use fo4depth::study::sim::{run_ooo, run_ooo_batched, run_ooo_observed, BenchOutcome, SimParams};
+use fo4depth::study::sim::{run_ooo, run_ooo_batched, BenchOutcome, SimParams};
 use fo4depth::study::sweep::{
     auto_lanes, build_arenas, depth_sweep_arenas, depth_sweep_arenas_batched, standard_points,
     CoreKind, DepthSweep, SweepSpec,
@@ -207,13 +207,7 @@ fn compute(batched: bool, pool: &Pool) -> Ledger {
                     let refs: Vec<&CoreConfig> = configs.iter().collect();
                     run_ooo_batched(&refs, arena, &params, observed)
                 } else {
-                    pool.map(&configs, |cfg| {
-                        if observed {
-                            run_ooo_observed(cfg, arena, &params)
-                        } else {
-                            run_ooo(cfg, arena, &params)
-                        }
-                    })
+                    pool.map(&configs, |cfg| run_ooo(cfg, arena, &params, observed))
                 };
                 ledger.insert(
                     key("ooo", observed, name, bench),

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use fo4depth::pipeline::{Counters, StallCause};
 use fo4depth::study::loops::{stretched_config, CriticalLoop};
 use fo4depth::study::report;
-use fo4depth::study::sim::{
-    run_inorder, run_inorder_observed, run_ooo, run_ooo_observed, SimParams,
-};
+use fo4depth::study::sim::{run_inorder, run_ooo, SimParams};
 use fo4depth::util::Json;
 use fo4depth::workload::{profiles, BenchProfile, TraceArena};
 use fo4depth_pipeline::CoreConfig;
@@ -47,8 +45,8 @@ fn cpi_identity_holds_for_every_benchmark_on_both_cores() {
     for p in profiles::all() {
         let a = arena_of(&p, &params);
         for (label, outcome) in [
-            ("ooo", run_ooo_observed(&cfg, &a, &params)),
-            ("inorder", run_inorder_observed(&cfg, &a, &params)),
+            ("ooo", run_ooo(&cfg, &a, &params, true)),
+            ("inorder", run_inorder(&cfg, &a, &params, true)),
         ] {
             let c = counters_of(&outcome);
             assert!(
@@ -75,11 +73,11 @@ fn counters_are_bit_identical_across_same_seed_runs() {
     let cfg = CoreConfig::alpha_like();
     let params = quick();
     let t = arena("300.twolf", &params);
-    let a = run_ooo_observed(&cfg, &t, &params);
-    let b = run_ooo_observed(&cfg, &t, &params);
+    let a = run_ooo(&cfg, &t, &params, true);
+    let b = run_ooo(&cfg, &t, &params, true);
     assert_eq!(a, b, "observed OoO runs must be deterministic");
-    let a = run_inorder_observed(&cfg, &t, &params);
-    let b = run_inorder_observed(&cfg, &t, &params);
+    let a = run_inorder(&cfg, &t, &params, true);
+    let b = run_inorder(&cfg, &t, &params, true);
     assert_eq!(a, b, "observed in-order runs must be deterministic");
 }
 
@@ -91,14 +89,14 @@ fn observation_does_not_perturb_the_simulation() {
     let params = quick();
     for name in ["164.gzip", "181.mcf", "171.swim", "179.art"] {
         let a = arena(name, &params);
-        let plain = run_ooo(&cfg, &a, &params);
-        let observed = run_ooo_observed(&cfg, &a, &params);
+        let plain = run_ooo(&cfg, &a, &params, false);
+        let observed = run_ooo(&cfg, &a, &params, true);
         assert_eq!(
             plain.result, observed.result,
             "{name}: observation perturbed the OoO core"
         );
-        let plain = run_inorder(&cfg, &a, &params);
-        let observed = run_inorder_observed(&cfg, &a, &params);
+        let plain = run_inorder(&cfg, &a, &params, false);
+        let observed = run_inorder(&cfg, &a, &params, true);
         assert_eq!(
             plain.result, observed.result,
             "{name}: observation perturbed the in-order core"
@@ -113,7 +111,7 @@ fn occupancy_histograms_sum_to_measured_cycles() {
     let cfg = CoreConfig::alpha_like();
     let params = quick();
     let a = arena("164.gzip", &params);
-    let c = run_ooo_observed(&cfg, &a, &params);
+    let c = run_ooo(&cfg, &a, &params, true);
     let c = counters_of(&c);
     for (name, hist) in [
         ("window", &c.window_occupancy),
@@ -137,7 +135,7 @@ fn assert_loop_direction(which: CriticalLoop, attributed: &[StallCause]) {
     let mut stalls_path = Vec::new();
     for extra in [0u64, 4, 10] {
         let cfg = stretched_config(&base, which, extra);
-        let o = run_ooo_observed(&cfg, &a, &params);
+        let o = run_ooo(&cfg, &a, &params, true);
         let c = counters_of(&o);
         let stalls: u64 = attributed.iter().map(|&cause| c.stalls(cause)).sum();
         let ipc = o.result.ipc();
@@ -186,7 +184,7 @@ fn outcome_json_round_trips() {
     let cfg = CoreConfig::alpha_like();
     let params = quick();
     let a = arena("181.mcf", &params);
-    let outcome = run_ooo_observed(&cfg, &a, &params);
+    let outcome = run_ooo(&cfg, &a, &params, true);
     let doc = report::outcome_json(&outcome, 280.8);
     let parsed = Json::parse(&doc.render()).expect("rendered JSON parses");
     assert_eq!(parsed, doc, "render/parse must be lossless");
