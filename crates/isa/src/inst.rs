@@ -145,12 +145,14 @@ impl Instruction {
 
     /// The execution class of this instruction.
     #[must_use]
+    #[inline]
     pub fn op_class(&self) -> OpClass {
         self.opcode.class()
     }
 
     /// Source registers as a compact iterator-friendly array.
     #[must_use]
+    #[inline]
     pub fn sources(&self) -> [Option<ArchReg>; 2] {
         [self.src1, self.src2]
     }

@@ -136,6 +136,7 @@ pub enum Opcode {
 impl Opcode {
     /// The execution class of this opcode.
     #[must_use]
+    #[inline]
     pub fn class(self) -> OpClass {
         use Opcode::*;
         match self {

@@ -85,6 +85,7 @@ impl ArchReg {
     /// A dense index over both banks: integer registers map to `0..32`,
     /// FP registers to `32..64`. Useful for flat rename-map storage.
     #[must_use]
+    #[inline]
     pub fn flat_index(self) -> usize {
         match self.bank {
             RegBank::Int => usize::from(self.index),
@@ -100,6 +101,7 @@ impl ArchReg {
     ///
     /// Panics if `index >= 64`.
     #[must_use]
+    #[inline]
     pub fn from_flat_index(index: usize) -> Self {
         let per_bank = usize::from(NUM_ARCH_REGS_PER_BANK);
         if index < per_bank {

@@ -27,11 +27,11 @@ use fo4depth_uarch::branch::{
 
 use crate::config::{CoreConfig, PredictorConfig};
 
-/// A concrete, clonable direction predictor — the plan's end-of-prefix
-/// state must be cloned into each overflowing lane, which `Box<dyn
-/// BranchPredictor>` cannot do without widening the public trait.
+/// The configured direction predictor as one concrete, clonable type: the
+/// plan's end-of-prefix state must be cloned into each overflowing lane,
+/// and a live core dispatches with a `match` instead of a virtual call.
 #[derive(Debug, Clone)]
-enum AnyPredictor {
+pub(crate) enum AnyPredictor {
     Tournament(Tournament),
     Bimodal(Bimodal),
     Gshare(Gshare),
@@ -87,7 +87,7 @@ impl BranchPredictor for AnyPredictor {
 /// replicated exactly from the cores' fetch loops: conditional branches
 /// consult and train the direction predictor, then (when taken) the BTB;
 /// jumps are always taken and only the BTB target can miss.
-fn resolve_live(predictor: &mut dyn BranchPredictor, btb: &mut Btb, inst: &Instruction) -> bool {
+fn resolve_live(predictor: &mut AnyPredictor, btb: &mut Btb, inst: &Instruction) -> bool {
     let branch = inst.branch.expect("resolving a non-branch");
     match inst.op_class() {
         OpClass::Branch => {
@@ -210,7 +210,7 @@ pub(crate) struct PlanTail {
 #[derive(Debug)]
 pub(crate) enum FetchResolver {
     Live {
-        predictor: Box<dyn BranchPredictor + Send>,
+        predictor: AnyPredictor,
         btb: Btb,
     },
     Planned {
@@ -224,7 +224,7 @@ impl FetchResolver {
     /// Live resolution: a fresh predictor and BTB per `cfg`.
     pub(crate) fn live(cfg: &CoreConfig) -> Self {
         FetchResolver::Live {
-            predictor: crate::ooo::build_predictor(cfg),
+            predictor: AnyPredictor::build(cfg.predictor),
             btb: Btb::new(cfg.btb_entries),
         }
     }
@@ -243,7 +243,7 @@ impl FetchResolver {
     /// stage declares a mispredict.
     pub(crate) fn resolve(&mut self, seq: u64, inst: &Instruction) -> bool {
         match self {
-            FetchResolver::Live { predictor, btb } => resolve_live(&mut **predictor, btb, inst),
+            FetchResolver::Live { predictor, btb } => resolve_live(predictor, btb, inst),
             FetchResolver::Planned { plan, stats, tail } => {
                 let i = seq as usize;
                 if i < plan.len {

@@ -26,7 +26,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use fo4depth_isa::{Instruction, OpClass};
-use fo4depth_uarch::branch::{Bimodal, BranchPredictor, BtbStats, Gshare, Perceptron, Tournament};
+use fo4depth_uarch::branch::BtbStats;
 use fo4depth_uarch::cache::Hierarchy;
 use fo4depth_uarch::fu::{FuClass, FuPool};
 use fo4depth_uarch::lsq::{LoadSource, LoadStoreQueue};
@@ -45,38 +45,6 @@ use crate::result::SimResult;
 /// Cycles without a commit after which the core declares itself wedged
 /// (indicates a model bug, not a program property).
 const DEADLOCK_LIMIT: u64 = 200_000;
-
-/// A trivially optimistic predictor: always taken.
-#[derive(Debug, Clone, Copy)]
-struct AlwaysTaken;
-
-impl BranchPredictor for AlwaysTaken {
-    fn predict(&mut self, _pc: u64) -> bool {
-        true
-    }
-    fn update(&mut self, _pc: u64, _taken: bool) {}
-}
-
-/// Builds the configured branch predictor.
-pub(crate) fn build_predictor(cfg: &CoreConfig) -> Box<dyn BranchPredictor + Send> {
-    match cfg.predictor {
-        crate::config::PredictorConfig::Tournament {
-            local_sites,
-            local_history_bits,
-            global_entries,
-        } => Box::new(Tournament::new(
-            local_sites,
-            local_history_bits,
-            global_entries,
-        )),
-        crate::config::PredictorConfig::Bimodal { entries } => Box::new(Bimodal::new(entries)),
-        crate::config::PredictorConfig::Gshare { entries } => Box::new(Gshare::new(entries)),
-        crate::config::PredictorConfig::Perceptron { rows, history_bits } => {
-            Box::new(Perceptron::new(rows, history_bits))
-        }
-        crate::config::PredictorConfig::AlwaysTaken => Box::new(AlwaysTaken),
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Inflight {

@@ -165,7 +165,6 @@ const ACCEPT_WAIT: Duration = Duration::from_millis(100);
 
 #[cfg(unix)]
 mod readiness {
-    use std::net::TcpListener;
     use std::os::unix::io::AsRawFd;
     use std::time::Duration;
 
@@ -188,33 +187,33 @@ mod readiness {
         fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
     }
 
-    /// Blocks until `listener` has a pending connection or `timeout`
-    /// passes. A signal cuts the wait short (`poll(2)` is never
-    /// restarted), and any wake-up is only a hint: the caller's
-    /// nonblocking `accept` decides.
-    pub fn wait(listener: &TcpListener, timeout: Duration) {
+    /// Blocks until `socket` is readable (a pending connection, request
+    /// bytes, or the peer hanging up) or `timeout` passes, and returns
+    /// whether it woke for an event. A signal cuts the wait short
+    /// (`poll(2)` is never restarted), and any wake-up is only a hint:
+    /// the caller's next `accept` or read decides.
+    pub fn wait(socket: &impl AsRawFd, timeout: Duration) -> bool {
         let mut fd = PollFd {
-            fd: listener.as_raw_fd(),
+            fd: socket.as_raw_fd(),
             events: POLLIN,
             revents: 0,
         };
         let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
         // SAFETY: one valid, exclusively borrowed `pollfd` for the length
         // of the call; `poll(2)` writes only its `revents`.
-        unsafe {
-            poll(&mut fd, 1, ms);
-        }
+        unsafe { poll(&mut fd, 1, ms) > 0 }
     }
 }
 
 #[cfg(not(unix))]
 mod readiness {
-    use std::net::TcpListener;
     use std::time::Duration;
 
-    /// No `poll(2)` off unix: a short sleep between nonblocking accepts.
-    pub fn wait(_listener: &TcpListener, timeout: Duration) {
+    /// No `poll(2)` off unix: a short sleep, after which the socket is
+    /// reported readable so the caller's blocking read decides.
+    pub fn wait<S>(_socket: &S, timeout: Duration) -> bool {
         std::thread::sleep(timeout.min(Duration::from_millis(5)));
+        true
     }
 }
 
@@ -508,7 +507,12 @@ fn worker_loop(state: &Arc<State>) {
 /// close — an errored exchange leaves no framing guarantees worth
 /// preserving.
 fn handle_connection(state: &State, stream: &mut TcpStream) {
+    let mut kept_alive = false;
     loop {
+        if kept_alive && !await_next_request(state, stream) {
+            return;
+        }
+        kept_alive = true;
         let started = Instant::now();
         let request =
             match read_request(stream, state.config.max_body, state.config.request_deadline) {
@@ -558,6 +562,25 @@ fn handle_connection(state: &State, stream: &mut TcpStream) {
         };
         if !alive {
             return;
+        }
+    }
+}
+
+/// Waits for the next request on a kept-alive connection in
+/// `ACCEPT_WAIT` slices, looking at the shutdown flags between them, so a
+/// drain does not sit out an idle peer's read timeout. Returns whether
+/// request bytes (or the peer's close) arrived; `false` means the server
+/// is shutting down or the connection stayed idle for `io_timeout`, and
+/// it closes silently as an idle read timeout always did.
+fn await_next_request(state: &State, stream: &TcpStream) -> bool {
+    let idle_until = Instant::now() + state.config.io_timeout;
+    loop {
+        let slice = idle_until.saturating_duration_since(Instant::now());
+        if readiness::wait(stream, slice.min(ACCEPT_WAIT)) {
+            return true;
+        }
+        if state.shutting_down() || Instant::now() >= idle_until {
+            return false;
         }
     }
 }

@@ -396,12 +396,14 @@ impl Btb {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & (self.tags.len() - 1)
     }
 
     /// Returns the predicted target for `pc`, if the BTB holds one.
     #[must_use]
+    #[inline]
     pub fn lookup(&mut self, pc: u64) -> Option<u64> {
         let i = self.index(pc);
         self.stats.lookups += 1;
@@ -412,11 +414,13 @@ impl Btb {
 
     /// Cumulative lookup counters.
     #[must_use]
+    #[inline]
     pub fn stats(&self) -> BtbStats {
         self.stats
     }
 
     /// Installs or refreshes the mapping `pc → target`.
+    #[inline]
     pub fn update(&mut self, pc: u64, target: u64) {
         let i = self.index(pc);
         self.tags[i] = pc;

@@ -33,6 +33,10 @@ impl CacheStats {
 /// A set-associative cache with true-LRU replacement.
 ///
 /// Only tags are modelled (this is a timing study); writes allocate.
+/// The tag store is one contiguous `sets × ways` array of line addresses:
+/// each set is an MRU-first slice whose unfilled tail holds the [`EMPTY`]
+/// sentinel, so a probe is an indexed load and a whole cache is one
+/// allocation.
 ///
 /// # Examples
 ///
@@ -42,26 +46,31 @@ impl CacheStats {
 /// assert!(!c.access(0x1000)); // cold miss
 /// assert!(c.access(0x1000)); // hit
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // per-set LRU stack of line addresses, MRU first
+    tags: Vec<u64>, // set s is tags[s * ways..][..ways], MRU first
     ways: usize,
     line_shift: u32,
     set_mask: u64,
     stats: CacheStats,
 }
 
+/// Marks an unfilled way. No line address equals it: lines are at least
+/// two bytes, so a line address is at most `u64::MAX >> 1`.
+const EMPTY: u64 = u64::MAX;
+
 impl Cache {
     /// Creates a cache of `capacity` bytes, `ways` ways, `line` byte lines.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
-    /// line or set count).
+    /// Panics if the geometry is degenerate (zero sizes, a line shorter
+    /// than two bytes, non-power-of-two line or set count).
     #[must_use]
     pub fn new(capacity: u64, ways: usize, line: u64) -> Self {
         assert!(capacity > 0 && ways > 0 && line > 0);
         assert!(line.is_power_of_two(), "line size must be a power of two");
+        assert!(line >= 2, "line size must be at least two bytes");
         let num_sets = capacity / (ways as u64 * line);
         assert!(num_sets > 0, "capacity too small for geometry");
         assert!(
@@ -69,7 +78,7 @@ impl Cache {
             "set count must be a power of two"
         );
         Self {
-            sets: vec![Vec::with_capacity(ways); num_sets as usize],
+            tags: vec![EMPTY; num_sets as usize * ways],
             ways,
             line_shift: line.trailing_zeros(),
             set_mask: num_sets - 1,
@@ -79,19 +88,20 @@ impl Cache {
 
     /// Accesses `addr`; returns whether it hit, updating LRU state and
     /// allocating on miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
+        let base = (line & self.set_mask) as usize * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
         if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
+            set[..=pos].rotate_right(1);
             self.stats.hits += 1;
             true
         } else {
-            set.insert(0, line);
-            if set.len() > self.ways {
-                set.pop();
-            }
+            // The LRU way (or an unfilled one) rotates to the front and
+            // takes the new line.
+            set.rotate_right(1);
+            set[0] = line;
             self.stats.misses += 1;
             false
         }
@@ -101,6 +111,25 @@ impl Cache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
+    }
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Self {
+        Self {
+            tags: self.tags.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source`'s tags into this cache's existing buffer, so
+    /// adopting a prewarmed template allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.tags.clone_from(&source.tags);
+        self.ways = source.ways;
+        self.line_shift = source.line_shift;
+        self.set_mask = source.set_mask;
+        self.stats = source.stats;
     }
 }
 
@@ -192,6 +221,7 @@ impl Hierarchy {
     }
 
     /// Performs a data access and returns its latency in cycles.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> u64 {
         match (&mut self.l1, &mut self.l2) {
             (None, _) => self.config.memory_latency,
@@ -217,7 +247,8 @@ impl Hierarchy {
     /// Tag state is a pure function of the access sequence — it does not
     /// depend on the clock-scaled latencies — so lanes of a batched sweep
     /// that would each replay the same prewarm sequence can instead adopt
-    /// one prewarmed template, bit-identical to having replayed it.
+    /// one prewarmed template, bit-identical to having replayed it. The
+    /// tags are copied into this hierarchy's existing buffers.
     ///
     /// # Panics
     ///
@@ -252,6 +283,152 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The straight-line true-LRU semantics the flat tag store must
+    /// reproduce: one growable MRU-first stack per set, `remove`/`insert`
+    /// on a hit and `insert`/`pop` on a miss.
+    #[derive(Debug)]
+    struct ReferenceCache {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        line_shift: u32,
+        set_mask: u64,
+        stats: CacheStats,
+    }
+
+    impl ReferenceCache {
+        fn new(sets: usize, ways: usize, line: u64) -> Self {
+            Self {
+                sets: vec![Vec::with_capacity(ways); sets],
+                ways,
+                line_shift: line.trailing_zeros(),
+                set_mask: sets as u64 - 1,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr >> self.line_shift;
+            let set = &mut self.sets[(line & self.set_mask) as usize];
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                let l = set.remove(pos);
+                set.insert(0, l);
+                self.stats.hits += 1;
+                true
+            } else {
+                set.insert(0, line);
+                if set.len() > self.ways {
+                    set.pop();
+                }
+                self.stats.misses += 1;
+                false
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random address streams hit and miss identically in the flat
+        /// store and the reference at 1/2/4/8 ways and 1–16 sets. Streams
+        /// span about twice the capacity, so evictions and re-hits at
+        /// every LRU depth are common; some addresses sit at the top of
+        /// the address space, next to the empty-way sentinel.
+        #[test]
+        fn flat_store_matches_the_reference_model(
+            ways_log in 0u32..4,
+            sets_log in 0u32..5,
+            line_log in 1u32..7,
+            stream in proptest::collection::vec((0u64..1 << 20, 0u8..8), 1..400),
+        ) {
+            let (ways, sets, line) = (1usize << ways_log, 1usize << sets_log, 1u64 << line_log);
+            let mut flat = Cache::new((sets * ways) as u64 * line, ways, line);
+            let mut model = ReferenceCache::new(sets, ways, line);
+            let span = 2 * (sets * ways) as u64 * line;
+            for (raw, high) in stream {
+                let addr = if high == 0 { u64::MAX - raw % span } else { raw % span };
+                prop_assert_eq!(flat.access(addr), model.access(addr));
+                prop_assert_eq!(flat.stats(), model.stats);
+            }
+        }
+    }
+
+    /// A hierarchy small enough that the test streams evict from both
+    /// levels, with the given latencies.
+    fn small_hierarchy(l1_latency: u64, l2_latency: u64, memory_latency: u64) -> Hierarchy {
+        Hierarchy::new(HierarchyConfig {
+            l1_capacity: 512,
+            l1_ways: 2,
+            l2_capacity: 2048,
+            l2_ways: 4,
+            line: 64,
+            l1_latency,
+            l2_latency,
+            memory_latency,
+            mshr_limit: 0,
+        })
+    }
+
+    /// `n` pseudo-random addresses over 8 KB (16× the L1, 4× the L2).
+    fn stream(seed: u64, n: u64) -> Vec<u64> {
+        (0..n)
+            .map(|i| fo4depth_util::SplitMix64::mix(seed << 32 | i) % 8192)
+            .collect()
+    }
+
+    /// Drives both hierarchies through `probe`, asserting that every
+    /// access hits or misses the same way at each level, then that the
+    /// cumulative stats agree.
+    fn assert_same_state(a: &mut Hierarchy, b: &mut Hierarchy, probe: &[u64]) {
+        let hits = |h: &Hierarchy| (h.l1_stats().hits, h.l2_stats().hits);
+        for &addr in probe {
+            let (a0, b0) = (hits(a), hits(b));
+            a.access(addr);
+            b.access(addr);
+            let (a1, b1) = (hits(a), hits(b));
+            assert_eq!(
+                (a1.0 - a0.0, a1.1 - a0.1),
+                (b1.0 - b0.0, b1.1 - b0.1),
+                "tag state diverged at {addr:#x}"
+            );
+        }
+        assert_eq!((a.l1_stats(), a.l2_stats()), (b.l1_stats(), b.l2_stats()));
+    }
+
+    #[test]
+    fn adopting_a_template_equals_replaying_its_prewarm() {
+        let prewarm = stream(1, 600);
+        let mut template = small_hierarchy(1, 1, 1);
+        let mut replayed = small_hierarchy(3, 12, 80);
+        for &a in &prewarm {
+            template.access(a);
+            replayed.access(a);
+        }
+        let mut adopted = small_hierarchy(3, 12, 80);
+        adopted.adopt_state(&template);
+        assert_eq!(adopted.l1_stats(), replayed.l1_stats());
+        assert_eq!(adopted.l2_stats(), replayed.l2_stats());
+        assert_eq!(adopted.config(), replayed.config(), "latencies are kept");
+        for &a in &stream(2, 600) {
+            assert_eq!(adopted.access(a), replayed.access(a), "latency at {a:#x}");
+        }
+        assert_same_state(&mut adopted, &mut replayed, &stream(3, 600));
+    }
+
+    #[test]
+    fn adoption_replaces_existing_state_completely() {
+        let mut template = small_hierarchy(3, 12, 80);
+        for &a in &stream(4, 300) {
+            template.access(a);
+        }
+        let mut adopted = small_hierarchy(3, 12, 80);
+        for &a in &stream(5, 900) {
+            adopted.access(a);
+        }
+        adopted.adopt_state(&template);
+        assert_same_state(&mut adopted, &mut template, &stream(6, 900));
+    }
 
     #[test]
     fn lru_eviction_order() {

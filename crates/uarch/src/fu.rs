@@ -24,6 +24,7 @@ pub enum FuClass {
 impl FuClass {
     /// The class an instruction of `op` needs.
     #[must_use]
+    #[inline]
     pub fn for_op(op: OpClass) -> FuClass {
         match op {
             OpClass::Load | OpClass::Store => FuClass::Mem,
@@ -34,6 +35,7 @@ impl FuClass {
 
     /// The issue port matching this class.
     #[must_use]
+    #[inline]
     pub fn port(self) -> IssuePort {
         match self {
             FuClass::Int => IssuePort::Int,
@@ -107,6 +109,7 @@ impl ExecLatencies {
 
     /// Latency of one op class.
     #[must_use]
+    #[inline]
     pub fn of(&self, op: OpClass) -> u64 {
         match op {
             OpClass::IntAlu | OpClass::Branch | OpClass::Jump | OpClass::Nop => self.int_alu,
@@ -145,6 +148,7 @@ impl FuPool {
 
     /// A fresh issue budget for one cycle.
     #[must_use]
+    #[inline]
     pub fn budget(&self) -> IssueBudget {
         IssueBudget {
             int: self.config.int_units,

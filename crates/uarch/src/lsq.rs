@@ -95,12 +95,14 @@ impl LoadStoreQueue {
 
     /// Whether a load can be accepted.
     #[must_use]
+    #[inline]
     pub fn has_load_space(&self) -> bool {
         self.loads.len() - self.load_head < self.load_capacity
     }
 
     /// Whether a store can be accepted.
     #[must_use]
+    #[inline]
     pub fn has_store_space(&self) -> bool {
         self.stores.len() - self.store_head < self.store_capacity
     }
@@ -112,6 +114,7 @@ impl LoadStoreQueue {
     /// # Errors
     ///
     /// Returns [`QueueFull`] when the store queue is full.
+    #[inline]
     pub fn insert_store(&mut self, seq: u64, addr: u64, data_ready: u64) -> Result<(), QueueFull> {
         if !self.has_store_space() {
             return Err(QueueFull);
@@ -129,6 +132,7 @@ impl LoadStoreQueue {
     /// # Errors
     ///
     /// Returns [`QueueFull`] when the load queue is full.
+    #[inline]
     pub fn insert_load(&mut self, seq: u64, _addr: u64) -> Result<(), QueueFull> {
         if !self.has_load_space() {
             return Err(QueueFull);
@@ -142,6 +146,7 @@ impl LoadStoreQueue {
     /// sequence order, so the first match scanning from the rear *is* the
     /// youngest older store.
     #[must_use]
+    #[inline]
     pub fn load_source(&mut self, seq: u64, addr: u64) -> LoadSource {
         let word = addr >> 3;
         let hit = self.stores[self.store_head..]
@@ -162,6 +167,7 @@ impl LoadStoreQueue {
 
     /// Index of the live store numbered `seq`, by binary search (live
     /// stores are sorted by sequence number).
+    #[inline]
     fn store_index(&self, seq: u64) -> Option<usize> {
         let live = &self.stores[self.store_head..];
         let i = live.partition_point(|s| s.seq < seq);
@@ -171,6 +177,7 @@ impl LoadStoreQueue {
     /// Data-ready cycle of the in-flight store numbered `seq`, or `None`
     /// if it already retired (its data is then architecturally visible).
     #[must_use]
+    #[inline]
     pub fn store_data_ready(&self, seq: u64) -> Option<u64> {
         self.store_index(seq).map(|i| self.stores[i].data_ready)
     }
@@ -178,6 +185,7 @@ impl LoadStoreQueue {
     /// Records that the store numbered `seq` has executed and its data is
     /// available from `data_ready` (stores are inserted at dispatch with
     /// `u64::MAX`).
+    #[inline]
     pub fn store_executed(&mut self, seq: u64, data_ready: u64) {
         if let Some(i) = self.store_index(seq) {
             let s = &mut self.stores[i];
@@ -189,6 +197,7 @@ impl LoadStoreQueue {
     /// instructions commit): an amortized-O(1) head advance, compacting
     /// only when a queue fully drains or the dead prefix outgrows four
     /// times the live capacity.
+    #[inline]
     pub fn retire_through(&mut self, seq: u64) {
         while self
             .stores
@@ -218,12 +227,14 @@ impl LoadStoreQueue {
 
     /// Number of store-to-load forwards observed.
     #[must_use]
+    #[inline]
     pub fn forward_count(&self) -> u64 {
         self.forwards
     }
 
     /// In-flight (load, store) occupancy.
     #[must_use]
+    #[inline]
     pub fn occupancy(&self) -> (usize, usize) {
         (
             self.loads.len() - self.load_head,

@@ -80,6 +80,7 @@ impl RenameMap {
 
     /// The physical register currently holding `reg`'s value.
     #[must_use]
+    #[inline]
     pub fn current(&self, reg: ArchReg) -> PhysReg {
         self.map[reg.flat_index()]
     }
@@ -92,6 +93,7 @@ impl RenameMap {
     ///
     /// Returns [`RenameStall::NoPhysicalRegisters`] when the free list is
     /// empty; the caller should stall dispatch this cycle.
+    #[inline]
     pub fn rename_dest(&mut self, reg: ArchReg) -> Result<PhysReg, RenameStall> {
         let new = self.free.pop().ok_or(RenameStall::NoPhysicalRegisters)?;
         self.map[reg.flat_index()] = new;
@@ -103,6 +105,7 @@ impl RenameMap {
     /// # Panics
     ///
     /// Panics (debug only) if the register is out of range.
+    #[inline]
     pub fn free(&mut self, reg: PhysReg) {
         debug_assert!(reg < self.total, "freeing unknown register");
         self.free.push(reg);
@@ -110,6 +113,7 @@ impl RenameMap {
 
     /// Number of free physical registers.
     #[must_use]
+    #[inline]
     pub fn free_count(&self) -> usize {
         self.free.len()
     }

@@ -51,18 +51,21 @@ impl ReorderBuffer {
 
     /// Whether another instruction can be allocated.
     #[must_use]
+    #[inline]
     pub fn has_space(&self) -> bool {
         self.entries.len() < self.capacity
     }
 
     /// Current occupancy.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the buffer is empty.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -70,6 +73,7 @@ impl ReorderBuffer {
     /// Allocates an entry for `seq` (entries must be allocated in
     /// program order). Returns a handle for [`complete`](Self::complete),
     /// or `None` when full.
+    #[inline]
     pub fn allocate(&mut self, seq: u64, free_on_commit: Option<u32>) -> Option<u64> {
         if !self.has_space() {
             return None;
@@ -93,6 +97,7 @@ impl ReorderBuffer {
     /// # Panics
     ///
     /// Panics if `seq` is not in the buffer.
+    #[inline]
     pub fn complete(&mut self, seq: u64, cycle: u64) {
         let guess = self
             .entries
@@ -116,6 +121,7 @@ impl ReorderBuffer {
     /// next commit can possibly happen — idle-cycle coalescing uses it as
     /// one bound on how far the clock may safely jump.
     #[must_use]
+    #[inline]
     pub fn head_complete_at(&self) -> Option<u64> {
         self.entries.front().map(|e| e.complete_at)
     }
@@ -132,6 +138,7 @@ impl ReorderBuffer {
     /// [`commit_ready`](Self::commit_ready) into a caller-owned buffer
     /// (appended, not cleared); cores reuse one buffer across cycles to
     /// keep the commit stage allocation-free.
+    #[inline]
     pub fn commit_ready_into(&mut self, cycle: u64, width: usize, out: &mut Vec<RobEntry>) {
         let mut popped = 0;
         while popped < width {
@@ -149,6 +156,7 @@ impl ReorderBuffer {
 
     /// Sequence number of the next instruction to commit.
     #[must_use]
+    #[inline]
     pub fn next_commit_seq(&self) -> u64 {
         self.entries
             .front()

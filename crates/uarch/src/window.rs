@@ -46,6 +46,7 @@ impl IssueBudget {
     }
 
     /// Attempts to consume one slot for `port`; returns whether it fit.
+    #[inline]
     pub fn take(&mut self, port: IssuePort) -> bool {
         if self.total == 0 {
             return false;
@@ -235,18 +236,22 @@ impl ConventionalWindow {
 }
 
 impl WindowModel for ConventionalWindow {
+    #[inline]
     fn has_space(&self) -> bool {
         self.entries.len() < self.capacity
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.entries.len()
     }
 
+    #[inline]
     fn capacity(&self) -> usize {
         self.capacity
     }
 
+    #[inline]
     fn insert(&mut self, entry: WindowEntry) {
         assert!(self.has_space(), "window full");
         debug_assert!(
@@ -256,6 +261,7 @@ impl WindowModel for ConventionalWindow {
         self.entries.push(entry);
     }
 
+    #[inline]
     fn set_ready(&mut self, seq: u64, ready_at: u64) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
             e.ready_at = e.ready_at.min(ready_at);
@@ -266,6 +272,7 @@ impl WindowModel for ConventionalWindow {
     /// considered oldest first and the budget is consumed in that order,
     /// so each select costs one O(len) sweep rather than an O(len) shift
     /// per selected entry.
+    #[inline]
     fn select_into(&mut self, now: u64, budget: &mut IssueBudget, out: &mut Vec<WindowEntry>) {
         let wake = self.wakeup_latency - 1;
         let mut kept = 0;
@@ -281,6 +288,7 @@ impl WindowModel for ConventionalWindow {
         self.entries.truncate(kept);
     }
 
+    #[inline]
     fn visible_ready(&self, now: u64) -> usize {
         let wake = self.wakeup_latency - 1;
         self.entries
@@ -289,6 +297,7 @@ impl WindowModel for ConventionalWindow {
             .count()
     }
 
+    #[inline]
     fn oldest_waiting(&self, now: u64) -> Option<WindowEntry> {
         let wake = self.wakeup_latency - 1;
         self.entries
@@ -297,6 +306,7 @@ impl WindowModel for ConventionalWindow {
             .copied()
     }
 
+    #[inline]
     fn next_visible_at(&self) -> Option<u64> {
         let wake = self.wakeup_latency - 1;
         Some(

@@ -344,6 +344,39 @@ fn shutdown_drains_in_flight_requests() {
 }
 
 #[test]
+fn shutdown_does_not_wait_out_an_idle_kept_alive_connection() {
+    use fo4depth::serve::client::Connection;
+
+    let io_timeout = Duration::from_secs(10);
+    let server = start(ServeConfig {
+        io_timeout,
+        ..ServeConfig::default()
+    });
+    let mut conn = Connection::connect(
+        &server.addr.to_string(),
+        Duration::from_secs(10),
+        Duration::from_secs(60),
+    )
+    .expect("connect");
+    let head = conn.request("GET", "/healthz", b"", true).expect("request");
+    assert_eq!(head.status, 200);
+    assert!(head.keep_alive(), "server keeps the connection");
+    conn.read_body(&head).expect("body");
+    // The connection now idles with its worker waiting for the next
+    // request. Dropping the server shuts it down and joins the workers;
+    // a worker blocked in the read would hold the join for the whole
+    // io_timeout.
+    let started = Instant::now();
+    drop(server);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "shutdown with an idle kept-alive client took {elapsed:?} (io_timeout {io_timeout:?})"
+    );
+    drop(conn);
+}
+
+#[test]
 fn run_and_sweep_endpoints_answer() {
     let server = start(ServeConfig::default());
 
