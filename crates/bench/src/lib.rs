@@ -1,9 +1,8 @@
-//! Shared driver code for the fo4depth benchmark harness.
+//! Shared driver code for the fo4depth paper-table harness.
 //!
 //! The [`tables`] module regenerates every table and figure of the paper
-//! (the `tables` binary is a thin CLI over it); the Criterion benches under
-//! `benches/` measure the performance of the substrate components
-//! themselves.
+//! (the `tables` binary is a thin CLI over it). Performance is measured
+//! by `perfbench/` and `fo4depth perf`, not here.
 
 pub mod tables;
 

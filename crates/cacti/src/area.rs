@@ -11,13 +11,12 @@
 //! capacitance ∝ accessed bits plus decode overhead.
 
 use fo4depth_fo4::TechNode;
-use serde::{Deserialize, Serialize};
 
 use crate::cam::CamConfig;
 use crate::sram::SramConfig;
 
 /// Area/energy coefficients at the 100 nm reference node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaCoefficients {
     /// Area of a single-ported 6T SRAM cell, µm² at 100 nm.
     pub cell_um2: f64,
@@ -49,7 +48,7 @@ impl Default for AreaCoefficients {
 }
 
 /// Area and per-access energy of a structure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaEstimate {
     /// Silicon area in mm².
     pub area_mm2: f64,

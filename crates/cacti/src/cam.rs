@@ -11,13 +11,12 @@
 //! of these coefficients too.
 
 use fo4depth_fo4::Fo4;
-use serde::{Deserialize, Serialize};
 
 use crate::model::{log2f, AccessBreakdown, Coefficients};
 use crate::sram::{Organization, SramTiming};
 
 /// Description of a CAM-like structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CamConfig {
     /// Number of entries the broadcast must reach.
     pub entries: u32,

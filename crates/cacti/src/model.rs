@@ -1,7 +1,6 @@
 //! Shared delay-model coefficients and the access-time breakdown type.
 
 use fo4depth_fo4::Fo4;
-use serde::{Deserialize, Serialize};
 
 /// Coefficients of the analytical delay model, all in FO4 units.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `t_useful` = 6 FO4; issue window 1 Alpha cycle ≈ 17 FO4) — see the crate
 /// docs. They are exposed so sensitivity studies can perturb the model, but
 /// every preset uses [`Coefficients::default`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coefficients {
     /// Fixed decoder overhead (predecode + wordline driver), FO4.
     pub decode_base: f64,
@@ -80,7 +79,7 @@ impl Default for Coefficients {
 }
 
 /// An access time decomposed into Cacti's stages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessBreakdown {
     /// Row decode (predecode, decode, wordline drive).
     pub decode: Fo4,

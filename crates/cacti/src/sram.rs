@@ -2,13 +2,12 @@
 //! organization search over sub-array partitionings.
 
 use fo4depth_fo4::Fo4;
-use serde::{Deserialize, Serialize};
 
 use crate::model::{log2f, AccessBreakdown, Coefficients};
 
 /// Description of a RAM-like storage structure (cache, register file,
 /// predictor table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SramConfig {
     /// Number of addressable entries (sets, for a cache).
     pub entries: u64,
@@ -83,7 +82,7 @@ impl SramConfig {
 /// A sub-array partitioning: `ndwl` column slices, `ndbl` row slices, and
 /// `nspd` sets mapped into one physical row (Cacti's organization
 /// parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Organization {
     /// Number of wordline (column) divisions.
     pub ndwl: u32,
@@ -111,7 +110,7 @@ impl Organization {
 }
 
 /// Result of the organization search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramTiming {
     /// Access time of the best organization.
     pub total: Fo4,

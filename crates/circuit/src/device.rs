@@ -12,10 +12,8 @@
 //! parameters are calibrated so a fanout-of-4 inverter at 100 nm measures
 //! close to the paper's 36 ps rule of thumb.
 
-use serde::{Deserialize, Serialize};
-
 /// Polarity of a MOSFET.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosfetKind {
     /// N-channel: conducts when the gate is high relative to the source.
     Nmos,
@@ -28,7 +26,7 @@ pub enum MosfetKind {
 /// All lengths are in microns, capacitances in femtofarads, currents in
 /// milliamps, voltages in volts, times in picoseconds. (That unit system
 /// makes `fF·V/mA = ps`, so the integrator needs no conversion constants.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// Supply voltage (V).
     pub vdd: f64,
@@ -126,7 +124,7 @@ impl DeviceParams {
 /// drain from the instantaneous voltages, which is what lets the same
 /// primitive serve as a pull-down, a pull-up, or half of a transmission
 /// gate (the pulse latch needs the latter).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mosfet {
     /// Device polarity.
     pub kind: MosfetKind,

@@ -8,15 +8,13 @@
 //! FO4 of useful logic for scalar code (8 × 1.36), and 5.4 FO4 for vector
 //! code (4 gates).
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceParams;
 use crate::fo4meas::measure_fo4;
 use crate::netlist::Netlist;
 use crate::sim::{propagation_delay, Stimulus, Transient};
 
 /// Result of the ECL-equivalence measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EclMeasurement {
     /// Delay of the NAND4 → NAND5 pair (ps), averaged over edges.
     pub gate_pair_ps: f64,

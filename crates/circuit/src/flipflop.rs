@@ -10,14 +10,12 @@
 //! claim is reproduced rather than assumed: the flip-flop's overhead is
 //! substantially larger than one FO4, and it burns more clock energy.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{DeviceParams, Mosfet, MosfetKind};
 use crate::netlist::{Netlist, Node, UNIT_NMOS_WIDTH};
 use crate::sim::{Stimulus, Transient};
 
 /// Result of the flip-flop measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlipFlopMeasurement {
     /// Minimum successful D→Q delay (ps) — the latch-overhead analogue.
     pub overhead_ps: f64,

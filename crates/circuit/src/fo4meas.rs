@@ -6,14 +6,12 @@
 //! self-consistent fanout-of-4 conditions. Rising and falling propagation
 //! delays are averaged.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceParams;
 use crate::netlist::Netlist;
 use crate::sim::{propagation_delay, Stimulus, Transient};
 
 /// Result of a FO4 measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fo4Measurement {
     /// Delay of the measured stage for a rising input edge (ps).
     pub rise_ps: f64,

@@ -13,15 +13,13 @@
 //! and then rises sharply as the edge races the closing gate. **Latch
 //! overhead is the smallest D→Q delay before the point of failure.**
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{DeviceParams, Mosfet, MosfetKind};
 use crate::netlist::{Netlist, Node, UNIT_NMOS_WIDTH};
 use crate::sim::{Stimulus, Transient};
 
 /// One point of the data-sweep: the data edge landed `offset_ps` before the
 /// falling clock edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatchSweepPoint {
     /// Time from the data edge (50 % at the latch input) to the falling
     /// clock edge (50 % at the latch clock pin); positive = data early.
@@ -31,7 +29,7 @@ pub struct LatchSweepPoint {
 }
 
 /// Result of the latch-overhead sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatchMeasurement {
     /// Every sweep point, earliest data first.
     pub points: Vec<LatchSweepPoint>,

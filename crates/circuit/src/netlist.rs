@@ -2,15 +2,13 @@
 //! builders (inverters, NANDs, transmission gates, buffer chains) used by
 //! the measurement set-ups.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{DeviceParams, Mosfet, MosfetKind};
 
 /// A handle to a circuit node.
 ///
 /// Node 0 is always ground and node 1 is always the supply; both are created
 /// by [`Netlist::new`] and held at fixed voltage by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Node(pub(crate) usize);
 
 impl Node {

@@ -9,14 +9,12 @@
 //! set-up (a fanout-of-1 inverter is conventionally ≈ 0.4–0.6 of an FO4
 //! delay, since delay grows roughly linearly with electrical fanout).
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceParams;
 use crate::netlist::Netlist;
 use crate::sim::Transient;
 
 /// Result of a ring-oscillator measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingMeasurement {
     /// Number of inverters in the ring.
     pub stages: usize,

@@ -1,8 +1,6 @@
 //! Transient simulation: stimuli, explicit integration, and waveform
 //! measurement (50 % crossings, propagation delays).
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::{Netlist, Node};
 
 /// Default integration step in picoseconds.
@@ -12,7 +10,7 @@ use crate::netlist::{Netlist, Node};
 pub const DEFAULT_DT_PS: f64 = 0.02;
 
 /// A voltage stimulus applied to a driven node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stimulus {
     /// Constant voltage.
     Const(f64),
@@ -83,7 +81,7 @@ impl Stimulus {
 }
 
 /// A sampled node-voltage trace produced by [`Transient::run`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     dt: f64,
     samples: Vec<f64>,

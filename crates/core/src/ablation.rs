@@ -10,7 +10,6 @@ use fo4depth_pipeline::{CoreConfig, PredictorConfig, WindowConfig};
 use fo4depth_uarch::segmented::SelectMode;
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::BenchProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::{StructureSet, MEMORY_CYCLES, MEMORY_LATENCY_FO4};
 use crate::scaler::{MemoryConvention, ScaleOptions, ScaledMachine};
@@ -22,7 +21,7 @@ use crate::sweep::{CoreKind, DepthSweep, SweepPoint};
 // ---------------------------------------------------------------------
 
 /// The scheduler designs compared in the §6 discussion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerDesign {
     /// Ideal single-cycle wakeup+select (the baseline everything is
     /// measured against).
@@ -85,7 +84,7 @@ impl SchedulerDesign {
 }
 
 /// IPC of one scheduler design relative to the ideal single-cycle window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerResult {
     /// The design measured.
     pub design: SchedulerDesign,
@@ -163,7 +162,7 @@ pub fn sweep_with_options(
 
 /// Result of the memory-convention ablation: the integer optimum under
 /// each DRAM-scaling convention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryConventionAblation {
     /// Sweep with memory constant in cycles (the study's convention).
     pub constant_cycles: DepthSweep,
@@ -203,7 +202,7 @@ pub fn memory_convention_ablation(
 
 /// Result of the rounding ablation: the integer optimum under each
 /// latency-quantization rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundingAblation {
     /// The paper's ceil rule.
     pub ceil: DepthSweep,
@@ -241,7 +240,7 @@ pub fn rounding_ablation(
 }
 
 /// One point of the predictor-design ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictorPoint {
     /// Display label of the design.
     pub label: String,
@@ -297,7 +296,7 @@ pub fn predictor_ablation(profiles: &[BenchProfile], params: &SimParams) -> Vec<
 }
 
 /// One point of the clustered-bypass ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterPoint {
     /// Cross-cluster bypass penalty in cycles (0 = unified backend).
     pub penalty: u64,
@@ -330,7 +329,7 @@ pub fn cluster_ablation(
 }
 
 /// One point of the MSHR (miss-level-parallelism) ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MshrPoint {
     /// MSHR count (0 = unbounded).
     pub mshr_limit: usize,

@@ -31,12 +31,11 @@
 use std::collections::BTreeSet;
 
 use fo4depth_fo4::Fo4;
-use serde::{Deserialize, Serialize};
 
 use crate::sweep::CoreKind;
 
 /// Knobs of the adaptive planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Extra coarse-pass density: probe every `coarse_step`-th grid index
     /// in addition to the two endpoints and the analytic seed. `0` keeps
@@ -84,7 +83,7 @@ pub fn analytic_optimum(core: CoreKind, overhead: Fo4) -> f64 {
 }
 
 /// Summary of one finished adaptive search, for reports and `/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveStats {
     /// Points in the dense grid.
     pub dense_points: usize,

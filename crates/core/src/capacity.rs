@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use fo4depth_fo4::Fo4;
 use fo4depth_workload::{BenchProfile, TraceArena};
-use serde::{Deserialize, Serialize};
 
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
@@ -30,7 +29,7 @@ pub const WINDOW_CANDIDATES: [u32; 3] = [16, 32, 64];
 pub const PREDICTOR_CANDIDATES: [u64; 3] = [512, 1024, 4096];
 
 /// The capacity choice for one clock point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityChoice {
     /// D-cache bytes.
     pub dcache: u64,
@@ -168,7 +167,7 @@ fn optimize_at_arenas(
 
 /// Figure 7's two curves: the fixed-Alpha machine and the per-clock
 /// capacity-optimized machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityStudy {
     /// Sweep with base capacities.
     pub base: DepthSweep,

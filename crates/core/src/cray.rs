@@ -17,7 +17,6 @@
 use fo4depth_fo4::{cycles_for, Fo4};
 use fo4depth_uarch::cache::HierarchyConfig;
 use fo4depth_workload::{BenchClass, BenchProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::latency::{StructureSet, ALPHA_USEFUL_FO4};
 use crate::scaler::ScaledMachine;
@@ -68,7 +67,7 @@ pub fn cray_memory_sweep_with(
 
 /// Kunkel & Smith's gate-level optima converted to FO4 via the measured
 /// ECL-gate equivalence (Appendix A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KunkelSmithEquivalence {
     /// Measured FO4 per Cray ECL gate (paper: 1.36).
     pub gate_fo4: f64,

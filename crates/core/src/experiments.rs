@@ -5,14 +5,13 @@
 
 use fo4depth_fo4::Fo4;
 use fo4depth_workload::BenchProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::StructureSet;
 use crate::sim::SimParams;
 use crate::sweep::{depth_sweep_spec, CoreKind, DepthSweep, SweepSpec};
 
 /// One reproducible experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Experiment {
     /// Identifier matching the paper ("Table 1", "Figure 5", "§4.2", …).
     pub id: &'static str,
@@ -29,7 +28,7 @@ pub struct Experiment {
 /// Integration tests assert our measured optima against these with the
 /// tolerance policy of DESIGN.md §6 (optima within ±1 FO4, orderings exact,
 /// deltas directionally right).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperHeadlines {
     /// OoO integer optimum (FO4 useful logic per stage).
     pub ooo_integer_optimum: f64,
@@ -82,7 +81,7 @@ impl PaperHeadlines {
 }
 
 /// One regenerated headline figure: the sweep behind Figure 4a, 4b, or 5.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureResult {
     /// Registry identifier ("Figure 4a", …).
     pub id: &'static str,

@@ -13,13 +13,12 @@
 use fo4depth_cacti::area::{cam_area, sram_area};
 use fo4depth_cacti::presets;
 use fo4depth_fo4::{Fo4, TechNode, WireModel};
-use serde::{Deserialize, Serialize};
 
 use crate::capacity::CapacityChoice;
 
 /// Structure areas and the derived communication distances for one
 /// configuration at one technology node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Floorplan {
     /// D-cache area (mm²).
     pub dcache_mm2: f64,

@@ -4,7 +4,6 @@
 use fo4depth_cacti::{access_time, cam_access_time, presets};
 use fo4depth_fo4::{cycles_for, cycles_for_rounded, Fo4, Picoseconds, Rounding, TechNode};
 use fo4depth_isa::OpClass;
-use serde::{Deserialize, Serialize};
 
 /// Useful FO4 per cycle of the Alpha 21264 reference machine.
 ///
@@ -25,7 +24,7 @@ pub const MEMORY_LATENCY_FO4: f64 = 1950.0;
 pub const MEMORY_CYCLES: u32 = 113;
 
 /// Access times (in FO4) of every clocked structure the study scales.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureSet {
     /// L1 instruction cache (fetch path).
     pub icache: Fo4,
@@ -123,7 +122,7 @@ impl StructureSet {
 
 /// One row of Table 3: a structure's (or operation's) latency in cycles at
 /// each candidate `t_useful`, plus the Alpha 21264 column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRow {
     /// Row label.
     pub name: String,
@@ -134,7 +133,7 @@ pub struct TableRow {
 }
 
 /// Structure latencies quantized for one clock point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyTable {
     /// I-cache (fetch) cycles.
     pub icache: u32,

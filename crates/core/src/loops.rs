@@ -17,12 +17,11 @@
 use fo4depth_pipeline::{CoreConfig, WindowConfig};
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::BenchProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
 
 /// The three §4.6 critical loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CriticalLoop {
     /// Issue → wakeup of dependents.
     IssueWakeup,
@@ -79,7 +78,7 @@ pub fn stretched_config(base: &CoreConfig, which: CriticalLoop, extra: u64) -> C
 }
 
 /// One curve of Figure 8: relative IPC at each stretch amount.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopCurve {
     /// Which loop was stretched.
     pub which: CriticalLoop,

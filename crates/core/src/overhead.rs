@@ -9,14 +9,13 @@
 
 use fo4depth_fo4::Fo4;
 use fo4depth_workload::{BenchClass, BenchProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::latency::StructureSet;
 use crate::sim::SimParams;
 use crate::sweep::{depth_sweep_with, standard_points, CoreKind, DepthSweep};
 
 /// One overhead curve of Figure 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadCurve {
     /// The overhead (FO4) this curve was swept at.
     pub overhead: f64,

@@ -23,14 +23,13 @@ use fo4depth_cacti::presets;
 use fo4depth_fo4::{Fo4, TechNode};
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::BenchProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
 use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
 
 /// Energy coefficients (all in picojoules at 100 nm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one pipeline latch toggling, per cycle, per bit (pJ).
     pub latch_bit_pj: f64,
@@ -78,7 +77,7 @@ impl EnergyModel {
 }
 
 /// One clock point of the power sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerPoint {
     /// Useful logic per stage.
     pub t_useful: f64,

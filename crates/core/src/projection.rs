@@ -10,12 +10,11 @@
 //! the next 15 years."
 
 use fo4depth_workload::BenchClass;
-use serde::{Deserialize, Serialize};
 
 use crate::sweep::DepthSweep;
 
 /// Assumptions of the §7 projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectionInputs {
     /// Historical annual performance growth to sustain (paper: 1.55).
     pub performance_growth: f64,
@@ -50,7 +49,7 @@ impl ProjectionInputs {
 }
 
 /// Outcome of the projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Projection {
     /// Required annual concurrency (IPC) growth once pipelining headroom is
     /// spent.

@@ -4,7 +4,6 @@ use fo4depth_fo4::{cycles_for, ClockPeriod, Fo4, Rounding, TechNode, WireModel};
 use fo4depth_pipeline::{CoreConfig, PipelineDepths, WindowConfig};
 use fo4depth_uarch::cache::HierarchyConfig;
 use fo4depth_uarch::fu::ExecLatencies;
-use serde::{Deserialize, Serialize};
 
 use crate::latency::{LatencyTable, StructureSet, MEMORY_CYCLES};
 
@@ -15,7 +14,7 @@ use crate::latency::{LatencyTable, StructureSet, MEMORY_CYCLES};
 /// DESIGN.md §4); [`MemoryConvention::AbsoluteTime`] holds the latency
 /// fixed in FO4 and re-quantizes it per clock, which is what the §4.2 CRAY
 /// experiment does and what the memory-convention ablation compares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemoryConvention {
     /// Fixed cycle count at every clock.
     ConstantCycles(u32),
@@ -24,7 +23,7 @@ pub enum MemoryConvention {
 }
 
 /// Knobs of the clock-scaling transformation beyond `t_useful` itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleOptions {
     /// Per-stage overhead.
     pub overhead: Fo4,
@@ -57,7 +56,7 @@ impl Default for ScaleOptions {
 
 /// A machine scaled to one candidate clock: the quantized latencies, the
 /// derived [`CoreConfig`], and the absolute clock period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaledMachine {
     /// Useful logic per stage.
     pub t_useful: Fo4,

@@ -6,13 +6,12 @@ use fo4depth_pipeline::{CoreConfig, WindowConfig};
 use fo4depth_uarch::segmented::SelectMode;
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::{BenchClass, BenchProfile, TraceArena};
-use serde::{Deserialize, Serialize};
 
 use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
 
 /// Figure 11: IPC (relative to a 1-stage window) of a 32-entry window
 /// pipelined into 1–10 wakeup stages, with ideal (full-window) selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowDepthCurve {
     /// Benchmark class.
     pub class: BenchClass,
@@ -113,7 +112,7 @@ pub fn window_depth_sweep(
 /// (4 stages × 8 entries, quotas 5/2/1, stage-1 fan-in 16) against a
 /// single-cycle 32-entry window with full select fan-in, returning the IPC
 /// ratio per class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectEval {
     /// Class measured.
     pub class: BenchClass,

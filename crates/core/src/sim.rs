@@ -18,7 +18,6 @@ use fo4depth_uarch::cache::Hierarchy;
 use fo4depth_uarch::window::WindowModel;
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::{BenchClass, BenchProfile, SharedCursor, SharedTrace, TraceArena};
-use serde::{Deserialize, Serialize};
 
 /// Committed instructions per lane-advance step of a batched run. Lanes of
 /// a batch stay within one chunk of each other in trace position, so the
@@ -30,7 +29,7 @@ const LANE_CHUNK: u64 = 8192;
 /// The paper skips 500 M instructions and measures 500 M; synthetic traces
 /// have no start-up phase of that scale, so the defaults here warm the
 /// predictor/caches and measure a window large enough for stable means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimParams {
     /// Instructions run before measurement starts.
     pub warmup: u64,
@@ -110,7 +109,7 @@ pub fn arenas_for_on(
 }
 
 /// One benchmark's outcome at one machine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchOutcome {
     /// Benchmark name.
     pub name: String,
@@ -325,7 +324,7 @@ where
 }
 
 /// Per-class aggregate of a benchmark set at one clock point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSummary {
     /// Harmonic-mean BIPS over the class (the paper's aggregate).
     pub bips: f64,

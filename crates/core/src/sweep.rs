@@ -10,7 +10,6 @@ use std::sync::Arc;
 use fo4depth_fo4::Fo4;
 use fo4depth_pipeline::CoreConfig;
 use fo4depth_workload::{BenchClass, BenchProfile, TraceArena};
-use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveConfig, AdaptivePlanner, AdaptiveStats};
 use crate::latency::StructureSet;
@@ -20,7 +19,7 @@ use crate::sim::{
 };
 
 /// Which core model a sweep exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreKind {
     /// The §4.1 in-order-issue pipeline.
     InOrder,
@@ -29,7 +28,7 @@ pub enum CoreKind {
 }
 
 /// One clock point of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Useful logic per stage at this point.
     pub t_useful: f64,
@@ -40,7 +39,7 @@ pub struct SweepPoint {
 }
 
 /// A complete depth sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepthSweep {
     /// Core model used.
     pub core: CoreKind,
@@ -289,7 +288,7 @@ pub fn auto_lanes(core: CoreKind, points: usize) -> usize {
 /// neighbours, `sweep.optimum(None)` equals the dense sweep's optimum —
 /// and every probed point is bitwise identical to its dense counterpart
 /// (same dispatch path, same seed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveSweep {
     /// Probed points only, ascending.
     pub sweep: DepthSweep,

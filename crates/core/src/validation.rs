@@ -10,12 +10,11 @@
 
 use fo4depth_pipeline::CoreConfig;
 use fo4depth_workload::{profiles, BenchClass};
-use serde::{Deserialize, Serialize};
 
 use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
 
 /// Measured characteristics of one benchmark at the Alpha point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationRow {
     /// Benchmark name.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct ValidationRow {
 
 /// The plausibility bands per class (IPC and mispredict) and globally
 /// (cache rates).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bands {
     /// IPC band for integer benchmarks.
     pub int_ipc: (f64, f64),

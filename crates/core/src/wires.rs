@@ -16,7 +16,6 @@
 
 use fo4depth_fo4::{Fo4, WireModel};
 use fo4depth_workload::{BenchClass, BenchProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::ablation::sweep_with_options;
 use crate::scaler::ScaleOptions;
@@ -24,7 +23,7 @@ use crate::sim::SimParams;
 use crate::sweep::DepthSweep;
 
 /// One curve of the wire study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireCurve {
     /// Front-end communication distance in millimetres.
     pub transport_mm: f64,

@@ -30,7 +30,6 @@ use fo4depth_fo4::Fo4;
 use fo4depth_util::hash::Fnv64;
 use fo4depth_variation::{DieSample, FastPath, Sampler, VariationError, VariationSpec};
 use fo4depth_workload::TraceArena;
-use serde::{Deserialize, Serialize};
 
 use crate::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec};
 use crate::sim::{summarize, BenchOutcome};
@@ -68,7 +67,7 @@ pub fn sample_fingerprint(base: u64, variation_digest: u64, sample: u64) -> u64 
 }
 
 /// One grid point of a yield sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YieldPoint {
     /// Nominal useful logic per stage.
     pub t_useful: f64,
@@ -89,7 +88,7 @@ pub struct YieldPoint {
 }
 
 /// How well the fast path matched Monte Carlo on this sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldAgreement {
     /// Largest absolute yield-fraction error across the grid.
     pub max_yield_abs_err: f64,
@@ -100,7 +99,7 @@ pub struct YieldAgreement {
 
 /// A complete yield-aware sweep: the nominal study plus per-point yield
 /// curves from both estimators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YieldSweep {
     /// The nominal depth sweep (bit-identical to a plain sweep of the
     /// same spec).

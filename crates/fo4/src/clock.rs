@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::metric::{Fo4, Picoseconds};
 use crate::tech::TechNode;
 
@@ -28,7 +26,7 @@ use crate::tech::TechNode;
 /// let ovh = Overheads::isca2002();
 /// assert!((ovh.total().get() - 1.8).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overheads {
     latch: Fo4,
     skew: Fo4,
@@ -124,7 +122,7 @@ impl fmt::Display for Overheads {
 /// assert_eq!(clk.total().get(), 7.8);
 /// assert!((clk.frequency_ghz(TechNode::NM_100) - 3.56).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct ClockPeriod {
     useful: Fo4,
     overhead: Fo4,
@@ -229,7 +227,7 @@ pub fn cycles_for(latency: Fo4, t_useful: Fo4) -> u32 {
 /// The paper's rule is [`Rounding::Ceil`] ("the access latency is rounded
 /// to 2 cycles" in both the 1.1- and 1.8-cycle examples of §3.3); the
 /// alternative is available for the rounding-sensitivity ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rounding {
     /// Round up: a structure gets whole stages and never borrows time.
     Ceil,

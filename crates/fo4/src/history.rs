@@ -7,13 +7,11 @@
 //! 2 GHz, 130 nm) — shows technology scaling and deeper pipelining each
 //! contributed roughly an 8× / 7× factor.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metric::{Fo4, Picoseconds};
 use crate::tech::TechNode;
 
 /// One generation in the Figure 1 dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorDatum {
     /// Year of introduction.
     pub year: u32,

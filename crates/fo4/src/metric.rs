@@ -6,8 +6,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::tech::TechNode;
 
 /// A delay measured in fan-out-of-four inverter delays.
@@ -28,8 +26,7 @@ use crate::tech::TechNode;
 /// // At 100 nm (36 ps/FO4) that is 280.8 ps:
 /// assert!((period.to_picoseconds(TechNode::NM_100).get() - 280.8).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fo4(f64);
 
 impl Fo4 {
@@ -146,8 +143,7 @@ impl fmt::Display for Fo4 {
 /// let fo4 = regfile.to_fo4(TechNode::NM_100);
 /// assert!((fo4.get() - 10.83).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Picoseconds(f64);
 
 impl Picoseconds {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A CMOS fabrication technology node, identified by **drawn gate length**.
 ///
 /// The paper (footnote 1, citing Ho, Mai & Horowitz) assumes one FO4 delay is
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(TechNode::NM_100.fo4_picoseconds(), 36.0);
 /// assert!((TechNode::NM_180.fo4_picoseconds() - 64.8).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TechNode {
     drawn_gate_length_nm: f64,
 }

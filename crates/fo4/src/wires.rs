@@ -20,8 +20,6 @@
 //! experiment charges a configurable communication budget to the front end
 //! and re-derives the optimal logic depth.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metric::Fo4;
 use crate::tech::TechNode;
 
@@ -37,7 +35,7 @@ use crate::tech::TechNode;
 /// let d = m.delay(15.0);
 /// assert!(d.get() > 20.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireModel {
     /// Delay of an optimally repeated global wire, FO4 per millimetre.
     pub fo4_per_mm: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::opcode::{OpClass, Opcode};
 use crate::reg::ArchReg;
 
@@ -11,7 +9,7 @@ use crate::reg::ArchReg;
 ///
 /// The trace knows the true outcome; predictors are trained against it and
 /// charged a misprediction penalty when they disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Whether the branch is actually taken.
     pub taken: bool,
@@ -30,7 +28,7 @@ pub struct BranchInfo {
 /// assert!(ld.op_class().is_memory());
 /// assert_eq!(ld.mem_addr, Some(0x1000));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instruction {
     /// The opcode.
     pub opcode: Opcode,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Execution-resource class of an instruction — the granularity at which the
 /// timing models assign functional-unit latencies (the rows of the paper's
 /// Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Single-cycle (on the Alpha) integer ALU operation.
     IntAlu,
@@ -91,7 +89,7 @@ impl OpClass {
 }
 
 /// Concrete opcodes of the SIR ISA (Alpha-flavoured mnemonics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // mnemonics are self-describing
 pub enum Opcode {
     // Integer ALU

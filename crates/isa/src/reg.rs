@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of architectural registers in each bank (Alpha-like: 32 integer
 /// and 32 floating-point).
 pub const NUM_ARCH_REGS_PER_BANK: u8 = 32;
 
 /// Which register file a name belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegBank {
     /// Integer registers `r0..r31`.
     Int,
@@ -29,7 +27,7 @@ pub enum RegBank {
 /// assert_eq!(r.to_string(), "r5");
 /// assert_eq!(ArchReg::fp(2).to_string(), "f2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArchReg {
     bank: RegBank,
     index: u8,

@@ -3,7 +3,6 @@
 
 use fo4depth_uarch::cache::HierarchyConfig;
 use fo4depth_uarch::fu::{ExecLatencies, FuPoolConfig};
-use serde::{Deserialize, Serialize};
 
 /// Pipeline depths (in cycles) of the front-end regions and register read.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// dependent-to-dependent latency, thanks to full bypass — §3.3: "results
 /// produced by the functional units can be fully bypassed to any stage
 /// between Issue and Execute").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineDepths {
     /// Instruction fetch (I-cache + predictor consultation).
     pub fetch: u64,
@@ -47,7 +46,7 @@ impl PipelineDepths {
 }
 
 /// Branch-predictor organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorConfig {
     /// 21264-style tournament: (local sites, local history bits, global
     /// entries).
@@ -93,7 +92,7 @@ impl PredictorConfig {
 }
 
 /// Issue-window organization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WindowConfig {
     /// Monolithic window with the given capacity and wakeup-loop length in
     /// cycles (Table 3's issue-window latency).
@@ -136,7 +135,7 @@ impl WindowConfig {
 }
 
 /// Full core configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: u32,

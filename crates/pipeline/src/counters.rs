@@ -27,10 +27,9 @@
 
 use fo4depth_uarch::observe::{Observer, OccupancyHist, Structure};
 use fo4depth_uarch::BtbStats;
-use serde::{Deserialize, Serialize};
 
 /// Why an issue slot went unused: the dominant cause, one per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallCause {
     /// Nothing to issue and the front end is filling (instruction supply:
     /// fetch-width limits, taken-branch bubbles, pipeline refill).
@@ -128,7 +127,7 @@ impl StallCause {
 /// What kind of latency a producer's value is behind. Recorded when the
 /// producer executes; consumers map it to a [`StallCause`] when they are
 /// the oldest waiting instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueKind {
     /// The producer's visible latency is the wakeup recurrence (its
     /// operation is shorter than the issue–wakeup loop).
@@ -162,7 +161,7 @@ impl ValueKind {
 
 /// The per-run counter block: slot accounting, occupancy histograms, and
 /// structure hit counters for one observed interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Counters {
     /// Issue slots per cycle (the accounting width).
     pub width: u32,

@@ -1,10 +1,9 @@
 //! Simulation results and counters.
 
 use fo4depth_uarch::cache::CacheStats;
-use serde::{Deserialize, Serialize};
 
 /// Counters from one measured simulation interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimResult {
     /// Instructions committed in the interval.
     pub instructions: u64,

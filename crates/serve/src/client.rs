@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use crate::http::MAX_HEAD_BYTES;
+
 // ---------------------------------------------------------------------------
 // Network fault injection
 // ---------------------------------------------------------------------------
@@ -195,6 +197,12 @@ impl ResponseHead {
     }
 }
 
+/// The first bytes of every response's status line.
+const STATUS_PREFIX: &[u8] = b"HTTP/";
+
+/// Hex digits in the largest chunk size a `usize` holds.
+const MAX_CHUNK_DIGITS: usize = 2 * std::mem::size_of::<usize>();
+
 fn protocol_error(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
@@ -305,13 +313,24 @@ impl Connection {
         self.read_head()
     }
 
+    /// Reads the response head. A response that does not begin with
+    /// `HTTP/`, or whose head outgrows [`MAX_HEAD_BYTES`], fails as soon
+    /// as the offending bytes are buffered: a corrupted frame has no
+    /// terminator to wait for, and the peer may hold the socket open.
     fn read_head(&mut self) -> io::Result<ResponseHead> {
         let end = loop {
-            if let Some(i) = self.buf[self.pos..]
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-            {
+            let pending = &self.buf[self.pos..];
+            let n = pending.len().min(STATUS_PREFIX.len());
+            if pending[..n] != STATUS_PREFIX[..n] {
+                return Err(protocol_error("response does not begin with HTTP/"));
+            }
+            if let Some(i) = pending.windows(4).position(|w| w == b"\r\n\r\n") {
                 break self.pos + i;
+            }
+            if pending.len() > MAX_HEAD_BYTES {
+                return Err(protocol_error(format!(
+                    "response head exceeds {MAX_HEAD_BYTES} bytes"
+                )));
             }
             self.fill()?;
         };
@@ -364,9 +383,7 @@ impl Connection {
     ///
     /// Read failures and malformed chunk framing.
     pub fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let line = self.line()?;
-        let len = usize::from_str_radix(line.trim(), 16)
-            .map_err(|_| protocol_error(format!("bad chunk length {line:?}")))?;
+        let len = self.chunk_size()?;
         let data = self.take(len)?;
         let crlf = self.take(2)?;
         if crlf != b"\r\n" {
@@ -400,16 +417,27 @@ impl Connection {
         Ok(())
     }
 
-    fn line(&mut self) -> io::Result<String> {
+    /// Reads one chunk-size line: hex digits, then CRLF. Any other byte
+    /// fails the read as soon as it is buffered, for the same reason as
+    /// in [`read_head`](Self::read_head).
+    fn chunk_size(&mut self) -> io::Result<usize> {
         loop {
-            if let Some(i) = self.buf[self.pos..].windows(2).position(|w| w == b"\r\n") {
-                let line = std::str::from_utf8(&self.buf[self.pos..self.pos + i])
-                    .map_err(|_| protocol_error("chunk header is not UTF-8"))?
-                    .to_string();
-                self.pos += i + 2;
-                return Ok(line);
+            let pending = &self.buf[self.pos..];
+            let digits = pending.iter().take_while(|b| b.is_ascii_hexdigit()).count();
+            if digits > MAX_CHUNK_DIGITS {
+                return Err(protocol_error("chunk-size line too long"));
             }
-            self.fill()?;
+            match pending[digits..] {
+                [] | [b'\r'] => self.fill()?,
+                [b'\r', b'\n', ..] => {
+                    let text = std::str::from_utf8(&pending[..digits]).expect("hex digits");
+                    let len = usize::from_str_radix(text, 16)
+                        .map_err(|_| protocol_error(format!("bad chunk length {text:?}")))?;
+                    self.pos += digits + 2;
+                    return Ok(len);
+                }
+                _ => return Err(protocol_error("chunk-size line holds a non-hex byte")),
+            }
         }
     }
 
@@ -783,6 +811,83 @@ mod tests {
             .request("GET", "/healthz", b"", false)
             .expect_err("injected truncation");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn a_bad_frame_fails_at_once_on_a_socket_left_open() {
+        // Each response is complete, or runs past a cap, and the peer then
+        // holds the socket open as an idle kept-alive shard does: a client
+        // that waited for a terminator would sit out its 10 s io_timeout.
+        // A chunked head is read clean before the rest is written.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let chunked = "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n";
+        let long_head = format!("HTTP/1.1 200 OK\r\nx-pad: {}", "y".repeat(MAX_HEAD_BYTES));
+        let responses = [
+            (
+                "HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhello".to_string(),
+                None,
+            ),
+            (
+                chunked.to_string(),
+                Some("5\r\nhello\r\n0\r\n\r\n".to_string()),
+            ),
+            (long_head, None),
+            (chunked.to_string(), Some("1".repeat(MAX_CHUNK_DIGITS + 1))),
+        ];
+        let (head_read, write_rest) = std::sync::mpsc::channel::<()>();
+        let (done, release) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for (head, rest) in responses {
+                let (mut s, _) = listener.accept().expect("accept");
+                let _ = s.read(&mut [0u8; 1024]);
+                s.write_all(head.as_bytes()).expect("write");
+                if let Some(rest) = rest {
+                    write_rest.recv().expect("head read");
+                    s.write_all(rest.as_bytes()).expect("write");
+                }
+                held.push(s);
+            }
+            release.recv().expect("client done");
+        });
+        let garbage = Some(InjectedNetFault::Garbage);
+        // Per response: the scripted reads, and whether the head parses.
+        let cases = [
+            (vec![garbage], false),
+            (vec![None, garbage], true),
+            (vec![], false),
+            (vec![], true),
+        ];
+        for (script, head_parses) in cases {
+            let faults = ScriptedNetFaults::new();
+            for fault in &script {
+                faults.script_read(*fault);
+            }
+            let mut conn = Connection::connect_with(
+                &addr,
+                Duration::from_secs(5),
+                Duration::from_secs(10),
+                Arc::clone(&faults) as Arc<dyn NetFault>,
+            )
+            .expect("connect");
+            let started = std::time::Instant::now();
+            let err = if head_parses {
+                let head = conn.request("GET", "/healthz", b"", true).expect("head");
+                assert!(head.chunked());
+                head_read.send(()).expect("server waiting");
+                conn.next_chunk().expect_err("bad chunk-size line")
+            } else {
+                conn.request("GET", "/healthz", b"", true)
+                    .expect_err("bad head")
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let elapsed = started.elapsed();
+            assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+            assert_eq!(faults.injected(), script.iter().flatten().count() as u64);
+        }
+        done.send(()).expect("server waiting");
         server.join().expect("server thread");
     }
 }

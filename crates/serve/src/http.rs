@@ -352,27 +352,16 @@ fn response_head(
     head.into_bytes()
 }
 
-/// Writes one JSON response and flushes, closing the connection after.
-/// Errors are swallowed: the peer may have gone away, and the worker's
-/// next action is closing the connection either way.
-pub fn write_response<W: Write>(
-    stream: &mut W,
-    status: u16,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) {
-    write_response_conn(stream, status, extra_headers, body, false);
-}
-
-/// [`write_response`] with an explicit connection disposition: the
-/// response says `connection: keep-alive` when `keep_alive`, telling the
-/// peer the socket stays open for another request after this
-/// content-length delimited body.
+/// Writes one JSON response and flushes. The response says
+/// `connection: keep-alive` when `keep_alive`, telling the peer the
+/// socket stays open for another request after this content-length
+/// delimited body. Errors are swallowed: the peer may have gone away,
+/// and the connection's next read reports it.
 ///
 /// Head and body leave in one write. Two writes on a kept-alive socket
 /// would let Nagle's algorithm hold the body back until the peer's
 /// delayed ACK for the head.
-pub fn write_response_conn<W: Write>(
+pub fn write_response<W: Write>(
     stream: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
@@ -417,23 +406,12 @@ pub struct ChunkedWriter<'a, W: Write = TcpStream> {
 impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Writes the response head and returns the writer. The head carries
     /// `transfer-encoding: chunked` instead of `content-length`;
-    /// everything else matches [`write_response`].
-    pub fn start(stream: &'a mut W, status: u16, extra_headers: &[(&str, &str)]) -> Self {
-        Self::start_conn(stream, status, extra_headers, "application/json", false)
-    }
-
-    /// [`start`](Self::start) with an explicit content type and
-    /// connection disposition — the `0\r\n\r\n` terminator delimits a
-    /// chunked body exactly, so a kept-alive connection is reusable the
-    /// moment [`finish`](Self::finish) succeeds.
-    pub fn start_conn(
-        stream: &'a mut W,
-        status: u16,
-        extra_headers: &[(&str, &str)],
-        content_type: &str,
-        keep_alive: bool,
-    ) -> Self {
-        let head = response_head(status, content_type, None, extra_headers, keep_alive);
+    /// everything else matches [`write_response`]. The `0\r\n\r\n`
+    /// terminator delimits a chunked body exactly, so a kept-alive
+    /// connection is reusable the moment [`finish`](Self::finish)
+    /// succeeds.
+    pub fn start(stream: &'a mut W, status: u16, content_type: &str, keep_alive: bool) -> Self {
+        let head = response_head(status, content_type, None, &[], keep_alive);
         let failed = stream.write_all(&head).is_err() || stream.flush().is_err();
         Self {
             stream,
@@ -503,12 +481,14 @@ pub fn write_error<W: Write>(stream: &mut W, err: &HttpError) {
         err.status,
         &[],
         error_body(err.code, &err.message).as_bytes(),
+        false,
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::net::{TcpListener, TcpStream};
 
     /// Runs `read_request` against raw client bytes over a real socket.
@@ -673,7 +653,7 @@ mod tests {
     #[test]
     fn a_buffered_response_leaves_in_one_write() {
         let mut sink = CountingSink::default();
-        write_response_conn(&mut sink, 429, &[("retry-after", "1")], b"{}", true);
+        write_response(&mut sink, 429, &[("retry-after", "1")], b"{}", true);
         assert_eq!(sink.writes, 1);
         assert_eq!(
             sink.bytes,
@@ -685,8 +665,7 @@ mod tests {
     #[test]
     fn each_chunk_leaves_in_one_write() {
         let mut sink = CountingSink::default();
-        let mut writer =
-            ChunkedWriter::start_conn(&mut sink, 200, &[], "application/octet-stream", false);
+        let mut writer = ChunkedWriter::start(&mut sink, 200, "application/octet-stream", false);
         assert!(writer.chunk(b"hello"));
         assert!(writer.chunk(b""), "an empty fragment is skipped");
         assert!(writer.chunk(&[b'x'; 26]));
@@ -703,6 +682,84 @@ mod tests {
         ]
         .concat();
         assert_eq!(sink.bytes, expected);
+    }
+
+    /// The body limit the never-panic property runs under.
+    const MAX_BODY: usize = 64;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Arbitrary request heads never panic `read_request`: every input
+        /// parses, is refused with a 4xx/5xx, or reads as `CLOSED`, and an
+        /// accepted body never exceeds the limit. Heads run up to twice
+        /// `MAX_HEAD_BYTES` as random lines joined by CRLFs, after a
+        /// request line (valid, wrong version, or none) and a
+        /// `content-length` (none, in range, huge, or malformed). In half
+        /// the cases about one line in three is raw bytes; the rest are
+        /// printable headers. One case in eight has no terminator, and one
+        /// in eight may send less body than it declares; those wait out
+        /// the helper's 500 ms read timeout.
+        #[test]
+        fn read_request_never_panics_on_arbitrary_heads(
+            request_line in 0u8..6,
+            content_length in 0u8..8,
+            length in any::<u64>(),
+            raw in any::<bool>(),
+            lines in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(any::<u8>(), 0..2000)),
+                0..9,
+            ),
+            shape in 0u8..8,
+            body in proptest::collection::vec(any::<u8>(), 0..2 * MAX_BODY),
+        ) {
+            let mut head: Vec<Vec<u8>> = Vec::new();
+            match request_line {
+                0 | 1 => head.push(b"GET /metrics HTTP/1.1".to_vec()),
+                2 | 3 => head.push(b"POST /v1/run HTTP/1.1".to_vec()),
+                4 => head.push(b"GET / HTTP/2.0".to_vec()),
+                _ => {}
+            }
+            let declared = match content_length {
+                0..=2 => None,
+                3..=5 => Some((length % (2 * MAX_BODY as u64)).to_string()),
+                6 => Some(length.to_string()),
+                _ => Some(match length % 3 {
+                    0 => "-1".to_string(),
+                    1 => format!("{length}0"),
+                    _ => format!("0x{length:x}"),
+                }),
+            };
+            if let Some(value) = declared {
+                head.push(format!("content-length: {value}").into_bytes());
+            }
+            for (rank, bytes) in lines {
+                head.push(if raw && rank == 0 {
+                    bytes
+                } else {
+                    let mut line = b"x-pad: ".to_vec();
+                    line.extend(bytes.iter().map(|b| b' ' + b % 95));
+                    line
+                });
+            }
+            let mut raw = head.join(&b"\r\n"[..]);
+            if shape != 0 {
+                raw.extend_from_slice(b"\r\n\r\n");
+                raw.extend_from_slice(&body);
+                if shape != 1 {
+                    raw.resize(raw.len() + 2 * MAX_BODY - body.len(), b'z');
+                }
+            }
+            match parse(&raw, MAX_BODY) {
+                Ok(req) => prop_assert!(req.body.len() <= MAX_BODY),
+                Err(e) => prop_assert!(
+                    e.status == CLOSED || (400..600).contains(&e.status),
+                    "status {} ({})",
+                    e.status,
+                    e.code
+                ),
+            }
+        }
     }
 
     #[test]

@@ -452,6 +452,7 @@ fn enqueue(state: &Arc<State>, stream: TcpStream) {
             429,
             &[("retry-after", "1")],
             error_body("queue_full", "server is at capacity; retry shortly").as_bytes(),
+            false,
         );
         // Discard whatever request bytes already arrived: closing with
         // unread data makes the kernel RST the connection, which can
@@ -507,12 +508,10 @@ fn worker_loop(state: &Arc<State>) {
 /// close — an errored exchange leaves no framing guarantees worth
 /// preserving.
 fn handle_connection(state: &State, stream: &mut TcpStream) {
-    let mut kept_alive = false;
     loop {
-        if kept_alive && !await_next_request(state, stream) {
+        if !await_next_request(state, stream) {
             return;
         }
-        kept_alive = true;
         let started = Instant::now();
         let request =
             match read_request(stream, state.config.max_body, state.config.request_deadline) {
@@ -549,7 +548,7 @@ fn handle_connection(state: &State, stream: &mut TcpStream) {
             let (endpoint, outcome) = route(state, &request);
             match outcome {
                 Ok(body) => {
-                    http::write_response_conn(stream, 200, &[], body.as_bytes(), keep);
+                    write_response(stream, 200, &[], body.as_bytes(), keep);
                     record(state, endpoint, 200, started);
                     keep
                 }
@@ -566,7 +565,7 @@ fn handle_connection(state: &State, stream: &mut TcpStream) {
     }
 }
 
-/// Waits for the next request on a kept-alive connection in
+/// Waits for a connection's next request (its first included) in
 /// `ACCEPT_WAIT` slices, looking at the shutdown flags between them, so a
 /// drain does not sit out an idle peer's read timeout. Returns whether
 /// request bytes (or the peer's close) arrived; `false` means the server
@@ -604,7 +603,7 @@ fn handle_sweep(
     };
     if !req.stream {
         let body = state.engine.sweep_summary(&req);
-        http::write_response_conn(stream, 200, &[], body.as_bytes(), keep);
+        write_response(stream, 200, &[], body.as_bytes(), keep);
         return (200, keep);
     }
     // Streamed delivery bypasses the response tier's single-flight (the
@@ -613,7 +612,7 @@ fn handle_sweep(
     // is installed into the response cache afterwards, so a streamed
     // sweep warms its buffered twin: `stream` is excluded from the
     // fingerprint and both render the same bytes.
-    let mut writer = ChunkedWriter::start_conn(stream, 200, &[], "application/json", keep);
+    let mut writer = ChunkedWriter::start(stream, 200, "application/json", keep);
     let body = state.engine.sweep_body(&req, true, &mut |frag| {
         writer.chunk(frag.as_bytes());
     });
@@ -660,10 +659,10 @@ fn handle_yield(
     };
     if !req.stream {
         let body = state.engine.yield_summary(&req);
-        http::write_response_conn(stream, 200, &[], body.as_bytes(), keep);
+        write_response(stream, 200, &[], body.as_bytes(), keep);
         return (200, keep);
     }
-    let mut writer = ChunkedWriter::start_conn(stream, 200, &[], "application/json", keep);
+    let mut writer = ChunkedWriter::start(stream, 200, "application/json", keep);
     let body = state.engine.yield_body(&req, true, &mut |frag| {
         writer.chunk(frag.as_bytes());
     });
@@ -705,7 +704,7 @@ fn handle_cells(
         }
     };
     let outcomes = state.engine.fill_cells(&req.cells);
-    let mut writer = ChunkedWriter::start_conn(stream, 200, &[], "application/octet-stream", keep);
+    let mut writer = ChunkedWriter::start(stream, 200, "application/octet-stream", keep);
     for (cell, outcome) in req.cells.iter().zip(&outcomes) {
         let payload = store::encode_outcome_tagged(outcome, Some(cell.core));
         if !writer.chunk(&store::encode_record(cell.fingerprint(), &payload)) {

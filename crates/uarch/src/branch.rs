@@ -7,8 +7,6 @@
 //! side to trust per history. All tables are size-parameterized so the
 //! capacity study (§4.5) can scale them.
 
-use serde::{Deserialize, Serialize};
-
 /// A branch direction predictor.
 ///
 /// The simulator calls [`predict`](Self::predict) at fetch and
@@ -43,7 +41,7 @@ fn counter_update(c: &mut u8, taken: bool, max: u8) {
 /// }
 /// assert!(p.predict(0x40));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bimodal {
     table: Vec<u8>,
 }
@@ -82,7 +80,7 @@ impl BranchPredictor for Bimodal {
 }
 
 /// Gshare: global history XOR PC indexes a table of 2-bit counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gshare {
     table: Vec<u8>,
     history: u64,
@@ -128,7 +126,7 @@ impl BranchPredictor for Gshare {
 
 /// Local two-level predictor: per-branch history registers indexing a
 /// shared pattern table of 3-bit counters (the local side of the 21264).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalTwoLevel {
     histories: Vec<u16>,
     pattern: Vec<u8>,
@@ -190,7 +188,7 @@ impl BranchPredictor for LocalTwoLevel {
 /// for _ in 0..32 { p.update(0x100, true); }
 /// assert!(p.predict(0x100));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tournament {
     local: LocalTwoLevel,
     global: Vec<u8>,
@@ -274,7 +272,7 @@ impl BranchPredictor for Tournament {
 /// the sign of the dot product between the weights and the global history
 /// (±1 encoded). Training nudges weights when the prediction was wrong or
 /// the magnitude was below the threshold.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Perceptron {
     weights: Vec<Vec<i16>>,
     history: Vec<i8>,
@@ -341,7 +339,7 @@ impl BranchPredictor for Perceptron {
 /// A direct-mapped branch target buffer. Direction prediction says *taken*;
 /// the BTB must still supply the target, and a miss redirects like a
 /// misprediction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Btb {
     tags: Vec<u64>,
     targets: Vec<u64>,
@@ -350,7 +348,7 @@ pub struct Btb {
 
 /// Cumulative BTB counters (always on — the counting is two adds on a path
 /// that already does a tag compare).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BtbStats {
     /// Target lookups performed.
     pub lookups: u64,

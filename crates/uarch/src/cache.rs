@@ -6,10 +6,8 @@
 //! hierarchy can run with caches disabled so that every reference pays the
 //! flat memory latency.
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of accesses that hit.
     pub hits: u64,
@@ -46,7 +44,7 @@ impl CacheStats {
 /// assert!(!c.access(0x1000)); // cold miss
 /// assert!(c.access(0x1000)); // hit
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Cache {
     tags: Vec<u64>, // set s is tags[s * ways..][..ways], MRU first
     ways: usize,
@@ -134,7 +132,7 @@ impl Clone for Cache {
 }
 
 /// Latency plumbing for the hierarchy, in cycles (already clock-scaled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 data cache capacity in bytes (0 disables caches entirely —
     /// the CRAY-1S mode of §4.2).

@@ -6,12 +6,11 @@
 //! cycle*, never occupancy.
 
 use fo4depth_isa::OpClass;
-use serde::{Deserialize, Serialize};
 
 use crate::window::{IssueBudget, IssuePort};
 
 /// Coarse functional-unit class used for port assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuClass {
     /// Integer ALU / multiply / branch.
     Int,
@@ -46,7 +45,7 @@ impl FuClass {
 }
 
 /// Issue-width configuration (units, all fully pipelined).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuPoolConfig {
     /// Integer units (the paper's execution stage has four).
     pub int_units: u32,
@@ -74,7 +73,7 @@ impl FuPoolConfig {
 }
 
 /// Execution latencies per class, in cycles at the current clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecLatencies {
     /// Integer ALU (and branch resolution).
     pub int_alu: u64,
@@ -134,7 +133,7 @@ impl ExecLatencies {
 /// assert_eq!(budget.int, 4);
 /// assert_eq!(budget.fp, 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuPool {
     config: FuPoolConfig,
 }

@@ -7,10 +7,8 @@
 //! of loads that hit an older, not-yet-committed store (forwarding instead
 //! of a cache access).
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned when a queue is at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
 impl std::fmt::Display for QueueFull {
@@ -22,7 +20,7 @@ impl std::fmt::Display for QueueFull {
 impl std::error::Error for QueueFull {}
 
 /// Result of checking a load against older stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadSource {
     /// No older in-flight store overlaps: go to the cache hierarchy.
     Cache,
@@ -36,7 +34,7 @@ pub enum LoadSource {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StoreRecord {
     seq: u64,
     word_addr: u64,
@@ -58,7 +56,7 @@ struct StoreRecord {
 ///     LoadSource::Forward { store_seq: 0, data_ready: 7 }
 /// );
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadStoreQueue {
     stores: Vec<StoreRecord>,
     loads: Vec<u64>, // sequence numbers of in-flight loads

@@ -8,10 +8,8 @@
 //! pays a single `Option` check per cycle when observation is off; no
 //! structure carries per-access observation branches.
 
-use serde::{Deserialize, Serialize};
-
 /// Which structure an occupancy sample describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Structure {
     /// The issue window (or the in-order core's issue queue).
     Window,
@@ -29,7 +27,7 @@ pub trait Observer {
 
 /// A dense occupancy histogram: bucket *k* counts the cycles the structure
 /// held exactly *k* entries.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OccupancyHist {
     buckets: Vec<u64>,
 }

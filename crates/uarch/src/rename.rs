@@ -10,10 +10,9 @@
 //! group never reaches rename.
 
 use fo4depth_isa::ArchReg;
-use serde::{Deserialize, Serialize};
 
 /// Reason renaming could not proceed this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RenameStall {
     /// The free list is empty.
     NoPhysicalRegisters,
@@ -47,7 +46,7 @@ pub type PhysReg = u32;
 /// assert_ne!(p_old, p_new);
 /// assert_eq!(map.current(r1), p_new);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RenameMap {
     /// Current physical register per architectural name (flat-indexed).
     map: Vec<PhysReg>,

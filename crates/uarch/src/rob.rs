@@ -1,9 +1,7 @@
 //! The reorder buffer: in-order allocation and commit.
 
-use serde::{Deserialize, Serialize};
-
 /// One in-flight instruction's retirement bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RobEntry {
     /// The instruction's dynamic sequence number.
     pub seq: u64,
@@ -26,7 +24,7 @@ pub struct RobEntry {
 /// rob.complete(idx, 10);
 /// assert_eq!(rob.commit_ready(10, 4).len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     entries: std::collections::VecDeque<RobEntry>,
     capacity: usize,

@@ -22,12 +22,10 @@
 //! therefore issue one cycle later than stage-0 instructions — the cost
 //! the paper measures at −4 % integer / −1 % FP IPC.
 
-use serde::{Deserialize, Serialize};
-
 use crate::window::{IssueBudget, WindowEntry, WindowModel};
 
 /// How selection treats entries outside the first stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectMode {
     /// All entries are candidates every cycle (the Figure 11 idealization:
     /// "assuming all entries in the window can be considered for
@@ -67,7 +65,7 @@ impl SelectMode {
 /// let mut b = IssueBudget::alpha_like();
 /// assert_eq!(w.select(0, &mut b).len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentedWindow {
     entries: Vec<WindowEntry>,
     capacity: usize,

@@ -25,15 +25,13 @@
 //! few percent of an ideal one-cycle scheduler; this model lands in the
 //! same band (see `study::ablation` and the §6 comparison bench).
 
-use serde::{Deserialize, Serialize};
-
 use crate::window::{IssueBudget, WindowEntry, WindowModel};
 
 /// Default reschedule penalty for victims, in cycles (the two-cycle
 /// scheduler must drain and replay them).
 pub const DEFAULT_RESCHEDULE_PENALTY: u64 = 2;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SpecEntry {
     entry: WindowEntry,
     /// Earliest cycle the scheduler may consider the entry again after a
@@ -57,7 +55,7 @@ struct SpecEntry {
 /// let mut b = IssueBudget::alpha_like();
 /// assert_eq!(w.select(0, &mut b).len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpeculativeWindow {
     entries: Vec<SpecEntry>,
     capacity: usize,

@@ -6,10 +6,8 @@
 //! delays the visibility of readiness by `wakeup − 1` cycles: that is the
 //! paper's *issue–wakeup critical loop*.
 
-use serde::{Deserialize, Serialize};
-
 /// Which issue port an instruction needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IssuePort {
     /// Integer ALU / branch port.
     Int,
@@ -20,7 +18,7 @@ pub enum IssuePort {
 }
 
 /// Per-cycle issue capacity, consumed as instructions are selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueBudget {
     /// Remaining integer issues this cycle.
     pub int: u32,
@@ -66,7 +64,7 @@ impl IssueBudget {
 }
 
 /// One waiting instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowEntry {
     /// Dynamic sequence number (age).
     pub seq: u64,
@@ -204,7 +202,7 @@ impl WindowModel for Box<dyn WindowModel + Send> {
 /// let mut budget = IssueBudget::alpha_like();
 /// assert_eq!(w.select(0, &mut budget).len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConventionalWindow {
     entries: Vec<WindowEntry>,
     capacity: usize,

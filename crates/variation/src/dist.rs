@@ -24,8 +24,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Factors are clamped below at this value so a far-tail draw can never
 /// produce a non-positive (or absurdly negative) delay component.
 pub const MIN_FACTOR: f64 = 0.05;
@@ -64,7 +62,7 @@ impl fmt::Display for VariationError {
 impl std::error::Error for VariationError {}
 
 /// Shape of a delay-component factor distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistKind {
     /// Gaussian factor `1 + σ·g`.
     Normal,
@@ -102,7 +100,7 @@ impl DistKind {
 
 /// One delay component's variation: shape, total relative sigma, and the
 /// systematic share of the variance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentSpec {
     /// Distribution shape of the factor.
     pub kind: DistKind,

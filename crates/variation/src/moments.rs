@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn fast_path_tracks_monte_carlo() {
-        // The acceptance-criterion check in miniature: the analytic yield
+        // The yield-accuracy check in miniature: the analytic yield
         // stays within Monte Carlo sampling noise of the empirical one.
         let mut spec = VariationSpec::new(5);
         spec.samples = 96;

@@ -1,7 +1,6 @@
 //! The full variation configuration for one yield study.
 
 use fo4depth_util::hash::Fnv64;
-use serde::{Deserialize, Serialize};
 
 use crate::dist::{ComponentSpec, DistKind, VariationError};
 
@@ -34,7 +33,7 @@ pub const DEFAULT_GUARDBAND: f64 = 0.04;
 /// Everything the sampler and the fast path need: seed, sample count, one
 /// [`ComponentSpec`] per delay component, and the yield model's two
 /// structural knobs (logic depth and guardband).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationSpec {
     /// Root seed of the substream family; two specs with equal seeds and
     /// equal parameters draw identical dies.

@@ -1,9 +1,7 @@
 //! Benchmark profiles: the statistical parameters of a synthetic workload.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's three-way benchmark classification (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchClass {
     /// SPECint 2000 benchmarks.
     Integer,
@@ -28,7 +26,7 @@ impl BenchClass {
 
 /// Instruction-mix weights. They need not sum to one; the generator
 /// normalizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
     /// Integer ALU (including address arithmetic not folded into memory
     /// ops).
@@ -125,7 +123,7 @@ impl OpMix {
 }
 
 /// Branch-behaviour parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchModel {
     /// Number of static branch sites; dynamic branches pick a site from a
     /// Zipf distribution so a few hot branches dominate (as in real codes).
@@ -195,7 +193,7 @@ impl BranchModel {
 /// The target per-reference rates are published SPEC CPU2000
 /// characterizations (e.g. gzip ≈ 3 % DL1 misses with an L2-resident set,
 /// mcf ≈ 25 % with most misses going to memory).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Nominal working-set size in bytes (informational; drives the paper's
     /// narrative classification, not the generated reuse pattern).
@@ -236,7 +234,7 @@ impl MemoryModel {
 }
 
 /// The complete statistical description of one synthetic benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchProfile {
     /// SPEC-style name, e.g. `"164.gzip"`.
     pub name: String,

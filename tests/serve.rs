@@ -13,7 +13,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use common::{counter, get, metrics, post, read_response, send, start, Response};
+use common::{counter, get, metrics, post, read_response, send, start, wait_for_counter, Response};
 use fo4depth::fo4::Fo4;
 use fo4depth::serve::ServeConfig;
 use fo4depth::study::report;
@@ -348,10 +348,24 @@ fn shutdown_does_not_wait_out_an_idle_kept_alive_connection() {
     use fo4depth::serve::client::Connection;
 
     let io_timeout = Duration::from_secs(10);
-    let server = start(ServeConfig {
+    let config = || ServeConfig {
         io_timeout,
         ..ServeConfig::default()
-    });
+    };
+    // Dropping the server shuts it down and joins the workers; a worker
+    // blocked in a read would hold the join for the whole io_timeout.
+    let timed_drop = |server: common::TestServer, case: &str| {
+        let started = Instant::now();
+        drop(server);
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "shutdown with {case} took {elapsed:?} (io_timeout {io_timeout:?})"
+        );
+    };
+
+    // A connection idling between kept-alive requests.
+    let server = start(config());
     let mut conn = Connection::connect(
         &server.addr.to_string(),
         Duration::from_secs(10),
@@ -362,18 +376,16 @@ fn shutdown_does_not_wait_out_an_idle_kept_alive_connection() {
     assert_eq!(head.status, 200);
     assert!(head.keep_alive(), "server keeps the connection");
     conn.read_body(&head).expect("body");
-    // The connection now idles with its worker waiting for the next
-    // request. Dropping the server shuts it down and joins the workers;
-    // a worker blocked in the read would hold the join for the whole
-    // io_timeout.
-    let started = Instant::now();
-    drop(server);
-    let elapsed = started.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "shutdown with an idle kept-alive client took {elapsed:?} (io_timeout {io_timeout:?})"
-    );
+    timed_drop(server, "an idle kept-alive client");
     drop(conn);
+
+    // A connection that never sends its first request. It holds a worker
+    // once the `/metrics` poll (the other busy worker) sees two.
+    let server = start(config());
+    let silent = TcpStream::connect(server.addr).expect("connect");
+    wait_for_counter(server.addr, &["workers", "connection", "busy"], 2);
+    timed_drop(server, "a silent client");
+    drop(silent);
 }
 
 #[test]
