@@ -2,7 +2,7 @@
 //!
 //! The [`tables`] module regenerates every table and figure of the paper
 //! (the `tables` binary is a thin CLI over it). Performance is measured
-//! by `perfbench/` and `fo4depth perf`, not here.
+//! by `perfbench/`, not here.
 
 pub mod tables;
 

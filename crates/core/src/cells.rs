@@ -98,7 +98,9 @@ impl CellSpec {
 
 /// Runs a group of cells that differ only in clock point over their shared
 /// arena, returning outcomes positionally — as one lane-parallel batch for
-/// an out-of-order group of two or more, cell by cell otherwise. Each
+/// an out-of-order group of at least
+/// [`MIN_BATCH_LANES`](crate::sweep::MIN_BATCH_LANES) cells, cell by cell
+/// otherwise. Each
 /// outcome is bit-identical to running the same cell through
 /// [`CellSpec::run`] — a batch-filled cache entry and a per-cell one are
 /// interchangeable.

@@ -193,21 +193,20 @@ pub fn build_arenas(
 
 /// Runs a sweep on an explicit pool. The benchmark traces are materialized
 /// once up front ([`build_arenas`]) and shared — by reference-counted
-/// handle — across every clock point and worker thread; the whole
-/// (point × benchmark) grid is then flattened into one task per cell, so a
-/// straggling benchmark at one point overlaps with work from the next.
+/// handle — across every clock point and worker thread; each benchmark's
+/// points are then grouped at [`auto_lanes`], one pool task per group.
 /// Results are assembled in grid order: the sweep is bit-identical at any
-/// pool size, including the single-lane serial path.
+/// pool size and to the per-cell [`depth_sweep_arenas`].
 #[must_use]
 pub fn depth_sweep_spec(spec: &SweepSpec<'_>, pool: &fo4depth_exec::Pool) -> DepthSweep {
-    depth_sweep_spec_batched(spec, pool, 1)
+    let arenas = build_arenas(spec.profiles, spec.params, pool);
+    let lanes = auto_lanes(spec.core, spec.points.len());
+    depth_sweep_arenas_batched(spec, &arenas, pool, lanes)
 }
 
-/// [`depth_sweep_spec`] over pre-materialized arenas (one per profile of
-/// the spec, in order). Split out so callers timing the sweep — or running
-/// several sweeps over the same benchmark set, like the two-core `perf`
-/// workload — can account for (and amortize) trace generation separately
-/// from simulation.
+/// The per-cell sweep over pre-materialized arenas (one per profile of the
+/// spec, in order): one pool task per `(point × benchmark)` cell. It is
+/// the reference every grouped sweep must reproduce bit for bit.
 ///
 /// # Panics
 ///
@@ -222,9 +221,8 @@ pub fn depth_sweep_arenas(
 }
 
 /// Runs a sweep on an explicit pool with each benchmark's clock points
-/// split into groups of up to `lanes` points. A group is one pool task; an
-/// out-of-order group of two or more makes one lockstep pass over its
-/// shared arena ([`run_ooo_batched`]), any other runs cell by cell.
+/// split into groups of up to `lanes` points. A group is one pool task,
+/// and the grid dispatch picks its driver by size ([`MIN_BATCH_LANES`]).
 /// Results are bit-identical at any pool size and any lane count —
 /// `lanes = 1` is [`depth_sweep_arenas`].
 ///
@@ -254,25 +252,11 @@ pub fn depth_sweep_arenas_batched(
     }
 }
 
-/// [`depth_sweep_arenas_batched`] with arena materialization included, on
-/// an explicit pool.
-#[must_use]
-pub fn depth_sweep_spec_batched(
-    spec: &SweepSpec<'_>,
-    pool: &fo4depth_exec::Pool,
-    lanes: usize,
-) -> DepthSweep {
-    let arenas = build_arenas(spec.profiles, spec.params, pool);
-    depth_sweep_arenas_batched(spec, &arenas, pool, lanes)
-}
-
-/// The measured-best lane count for a core's point batches. Out-of-order
-/// lanes share one trace decode, fetch plan and cache prewarm per batch:
-/// a 15-lane batch ran 1.06–1.17× faster than the per-cell driver at
-/// 20 000 + 80 000 instructions (2-vCPU host, five interleaved reps), so
-/// every clock point goes in one batch. In-order lanes no longer pay —
-/// 4-lane batches measured 0.80–1.18× (median 0.95) of the per-cell
-/// driver — so the in-order core runs one cell per task.
+/// How many of a benchmark's clock points a sweep puts in one pool task.
+/// Out-of-order groups take every point, so that a full grid reaches the
+/// grid dispatch as one group large enough for the lanes (see
+/// [`MIN_BATCH_LANES`]). The in-order core has no lane driver, so it runs
+/// one cell per task, which spreads the grid widest over the pool.
 #[must_use]
 pub fn auto_lanes(core: CoreKind, points: usize) -> usize {
     match core {
@@ -479,25 +463,35 @@ pub fn adaptive_sweep_arenas(
     }
 }
 
-/// [`adaptive_sweep_arenas`] with arena materialization included.
+/// [`adaptive_sweep_arenas`] with arena materialization included, at
+/// [`auto_lanes`].
 #[must_use]
 pub fn adaptive_sweep_spec(
     spec: &SweepSpec<'_>,
     pool: &fo4depth_exec::Pool,
-    lanes: usize,
     config: &AdaptiveConfig,
 ) -> AdaptiveSweep {
     let arenas = build_arenas(spec.profiles, spec.params, pool);
+    let lanes = auto_lanes(spec.core, spec.points.len());
     adaptive_sweep_arenas(spec, &arenas, pool, lanes, config)
 }
+
+/// The smallest out-of-order group that the grid dispatch runs as lanes
+/// ([`run_ooo_batched`]); smaller groups run cell by cell. The lanes share
+/// one trace decode, fetch plan and cache prewarm, which pays only for
+/// wide groups. Against per-cell runs of the same group at 2 000 + 8 000
+/// instructions (2-vCPU host, 6 profiles, alternating rounds), 2-cell
+/// groups won 1 round of 10, 7- and 8-cell groups about 2 in 3, 9-cell
+/// groups 27 of 30 (run medians 1.02–1.09×) and 15-cell groups 19 of 20.
+pub const MIN_BATCH_LANES: usize = 9;
 
 /// The one dispatch point every sweep cell goes through — dense, adaptive
 /// and yield sweeps, and the cache-granular [`CellSpec::run`] and
 /// [`run_cell_group`] — so a cell simulated for a cache is bit-identical
 /// to the same cell simulated inside any sweep. The driver is picked by
-/// lane count: out-of-order groups of two or more cells take one
-/// lockstep pass over the shared arena ([`run_ooo_batched`]); everything
-/// else runs cell by cell ([`run_ooo`], [`run_inorder`]).
+/// group size: out-of-order groups of [`MIN_BATCH_LANES`] cells or more
+/// take one lockstep pass over the shared arena ([`run_ooo_batched`]);
+/// everything else runs cell by cell ([`run_ooo`], [`run_inorder`]).
 ///
 /// [`CellSpec::run`]: crate::cells::CellSpec::run
 /// [`run_cell_group`]: crate::cells::run_cell_group
@@ -509,7 +503,7 @@ pub(crate) fn run_grid_group(
     params: &SimParams,
 ) -> Vec<BenchOutcome> {
     match core {
-        CoreKind::OutOfOrder if configs.len() >= 2 => {
+        CoreKind::OutOfOrder if configs.len() >= MIN_BATCH_LANES => {
             run_ooo_batched(configs, arena, params, observed)
         }
         CoreKind::OutOfOrder => configs

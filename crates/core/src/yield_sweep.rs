@@ -472,7 +472,7 @@ pub fn run_yield_plan(
 }
 
 /// Plans and runs a yield sweep in one call: build the plan, materialize
-/// arenas, execute, assemble.
+/// arenas, execute at [`auto_lanes`](crate::sweep::auto_lanes), assemble.
 ///
 /// # Errors
 ///
@@ -481,11 +481,11 @@ pub fn yield_sweep_spec(
     spec: &SweepSpec<'_>,
     variation: VariationSpec,
     pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
 ) -> Result<YieldSweep, VariationError> {
     let plan = YieldPlan::build(*spec, variation, pool)?;
     let arenas = crate::sweep::build_arenas(spec.profiles, spec.params, pool);
-    Ok(run_yield_plan(&plan, &arenas, pool, lanes))
+    let lanes = crate::sweep::auto_lanes(spec.core, spec.points.len());
+    Ok(run_yield_plan(&plan, &arenas, pool, Some(lanes)))
 }
 
 #[cfg(test)]
@@ -579,7 +579,7 @@ mod tests {
         let plan = YieldPlan::build(spec, tiny_variation(), pool).unwrap();
         let arenas = crate::sweep::build_arenas(&profs, &params, pool);
         let scalar = run_yield_plan(&plan, &arenas, pool, None);
-        let batched = run_yield_plan(&plan, &arenas, pool, Some(3));
+        let batched = run_yield_plan(&plan, &arenas, pool, Some(crate::sweep::MIN_BATCH_LANES));
         assert_eq!(scalar, batched, "lane batching must not change results");
 
         // The embedded nominal sweep is the plain sweep, bit-identical.

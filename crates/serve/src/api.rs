@@ -1297,9 +1297,9 @@ impl Engine {
     ///
     /// Warm cells come from the LRU (or read through from the persistent
     /// tier); the cold remainder is grouped by benchmark and simulated
-    /// through [`fo4depth_study::cells::run_cell_group`] — for the
-    /// out-of-order core, one lane-batched pass over each benchmark's
-    /// shared arena drives every cold clock point of that benchmark.
+    /// through [`fo4depth_study::cells::run_cell_group`], one group per
+    /// benchmark; a wide enough out-of-order group runs as one
+    /// lane-batched pass over the benchmark's shared arena.
     /// Batched and per-cell fills are bit-identical (the
     /// `tests/batched_equivalence.rs` harness pins this), so a sweep
     /// freely mixes cells warmed by the per-cell `/v1/run` path with cold
@@ -1398,8 +1398,9 @@ impl Engine {
     /// `outcomes` in place.
     fn fill_local(&self, cells: &[CellSpec], outcomes: &mut [Option<Arc<BenchOutcome>>]) {
         // Group the cold cells by benchmark: cells of one benchmark share
-        // an arena and a fetch plan, so each group is one lane batch (and
-        // one pool task — results are positional, hence deterministic).
+        // an arena and a fetch plan, so each group is one candidate lane
+        // batch (and one pool task — results are positional, hence
+        // deterministic).
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
             if outcomes[i].is_some() {

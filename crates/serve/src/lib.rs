@@ -402,8 +402,8 @@ impl Server {
 
 /// Builds the engine a [`ServeConfig`] describes — cache tiers, optional
 /// persistent store, optional shard tier. Shared by [`Server::bind`] and
-/// embedded callers (the `fo4depth perf` shard harness drives a router
-/// engine directly, without a listener).
+/// embedded callers (`tests/perf_gates.rs` drives a router engine
+/// directly, without a listener).
 ///
 /// Opening the store recovers whatever a previous process left:
 /// corruption is truncated and counted, never fatal.

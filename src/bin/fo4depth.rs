@@ -35,9 +35,7 @@ use fo4depth::study::report;
 use fo4depth::study::scaler::ScaledMachine;
 use fo4depth::study::sim::{run_inorder, run_ooo, SimParams};
 use fo4depth::study::sweep::{
-    adaptive_sweep_arenas, adaptive_sweep_spec, auto_lanes, build_arenas, depth_sweep_arenas,
-    depth_sweep_arenas_batched, depth_sweep_spec_batched, standard_points, AdaptiveSweep, CoreKind,
-    DepthSweep, SweepSpec,
+    adaptive_sweep_spec, depth_sweep_spec, standard_points, AdaptiveSweep, CoreKind, SweepSpec,
 };
 use fo4depth::study::validation::{self, Bands};
 use fo4depth::study::yield_sweep::yield_sweep_spec;
@@ -54,7 +52,7 @@ fn usage() -> ExitCode {
            table3                          print the structure/operation latency table\n\
            sweep [--core ooo|inorder] [--overhead F] [--quick] [--warmup N]\n\
                  [--measure N] [--bench NAME[,NAME...]] [--csv] [--jobs N]\n\
-                 [--batch-lanes N|on|max|auto|off] [--sweep-mode dense|adaptive]\n\
+                 [--sweep-mode dense|adaptive]\n\
                  [--tolerance FO4] [--coarse-step N] [--seed-clock FO4]\n\
            bench NAME [--t-useful F] [--warmup N] [--measure N]\n\
            record NAME COUNT [FILE]        capture a synthetic trace (default stdout)\n\
@@ -67,28 +65,16 @@ fn usage() -> ExitCode {
                  [--variation-seed N] [--distribution normal|lognormal|uniform]\n\
                  [--sigma-fo4 F] [--sigma-overhead F] [--systematic-fo4 F]\n\
                  [--systematic-overhead F] [--logic-depth F] [--guardband F]\n\
-                 [--jobs N] [--batch-lanes N|on|max|auto|off]\n\
+                 [--jobs N]\n\
                   yield-aware depth sweep: Monte Carlo over process\n\
                   variation plus the variance-propagation fast path;\n\
                   reports per-point yield curves and the yield-weighted\n\
                   optimum alongside the nominal one\n\
            report [--core ooo|inorder] [--bench NAME[,NAME...]] [--points F[,F...]]\n\
                   [--quick] [--warmup N] [--measure N] [--seed N] [--out FILE] [--jobs N]\n\
-                  [--batch-lanes N|on|max|auto|off] [--sweep-mode dense|adaptive]\n\
+                  [--sweep-mode dense|adaptive]\n\
                   [--tolerance FO4] [--coarse-step N] [--seed-clock FO4]\n\
                   emit a machine-readable JSON run report (counters + CPI stacks)\n\
-           perf [--core ooo|inorder|both] [--quick] [--jobs N] [--out FILE]\n\
-                [--batch-lanes N|on|max|auto|off] [--sweep-mode dense|adaptive]\n\
-                [--tolerance FO4] [--coarse-step N] [--seed-clock FO4] [--shards N]\n\
-                  time the fixed sweep workload (trace generation and\n\
-                  simulation split out); emit a JSON bench report; unless\n\
-                  --batch-lanes is off or 1, also time the lane-batched\n\
-                  sweep and verify it against the per-cell sweep\n\
-                  bit-for-bit; unless\n\
-                  --sweep-mode dense, also time the adaptive planner and\n\
-                  verify it lands on the dense optimum; with --shards N,\n\
-                  also time the routed full-OOO sweep through 1 vs N\n\
-                  fresh shard subprocesses and verify byte-identity\n\
            serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
                  [--cell-cache N] [--max-body BYTES] [--timeout-ms N]\n\
                  [--deadline-ms N] [--cache-dir DIR] [--fsync always|batch|off]\n\
@@ -153,8 +139,7 @@ fn params_from(args: &mut Args) -> Result<SimParams, ArgError> {
     Ok(p)
 }
 
-/// Parses `--core` with the given `extra` spelling(s) allowed (perf takes
-/// `both`; everything else does not).
+/// Parses `--core ooo|inorder`, defaulting to the out-of-order core.
 fn core_from(args: &mut Args) -> Result<CoreKind, ArgError> {
     match args.take_opt::<String>("--core")?.as_deref() {
         None | Some("ooo") => Ok(CoreKind::OutOfOrder),
@@ -182,52 +167,6 @@ fn benches_from(args: &mut Args) -> Result<Vec<BenchProfile>, ArgError> {
     }
 }
 
-/// How `--batch-lanes` sizes a sweep's per-benchmark point batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneMode {
-    /// One cell per task.
-    Off,
-    /// All of a benchmark's clock points in one batch.
-    Max,
-    /// A fixed lane cap.
-    Fixed(usize),
-    /// The per-core measured-best cap ([`auto_lanes`]): every point for
-    /// the out-of-order core, one cell per task for the in-order core.
-    Auto,
-}
-
-impl LaneMode {
-    /// The lane cap for one core's sweep over `points` clock points.
-    fn resolve(self, core: CoreKind, points: usize) -> usize {
-        match self {
-            LaneMode::Off => 1,
-            LaneMode::Max => points.max(1),
-            LaneMode::Fixed(n) => n.min(points.max(1)),
-            LaneMode::Auto => auto_lanes(core, points),
-        }
-    }
-}
-
-/// Parses `--batch-lanes N|on|max|auto|off`. `on` and `max` mean "all of a
-/// benchmark's clock points in one batch"; `auto` picks the per-core
-/// measured-best cap. `default` applies when the flag is absent.
-fn batch_lanes_from(args: &mut Args, default: LaneMode) -> Result<LaneMode, ArgError> {
-    match args.take_opt::<String>("--batch-lanes")? {
-        None => Ok(default),
-        Some(v) => match v.as_str() {
-            "off" => Ok(LaneMode::Off),
-            "on" | "max" => Ok(LaneMode::Max),
-            "auto" => Ok(LaneMode::Auto),
-            n => match n.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(LaneMode::Fixed(n)),
-                _ => Err(ArgError(format!(
-                    "bad --batch-lanes {n}; expected a positive lane count, on, max, auto, or off"
-                ))),
-            },
-        },
-    }
-}
-
 /// Which planning strategy a sweep-shaped command uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SweepMode {
@@ -238,16 +177,10 @@ enum SweepMode {
 /// Parses `--sweep-mode dense|adaptive` plus the adaptive knobs
 /// (`--tolerance FO4`, `--coarse-step N`, `--seed-clock FO4`). The knobs
 /// are accepted — and validated — even in dense mode so scripts can flip
-/// modes without editing flags. `default` applies when the flag is absent
-/// (`sweep`/`report` default dense; `perf` defaults adaptive so the
-/// planner is benchmarked and verified on every run).
-fn sweep_mode_from(
-    args: &mut Args,
-    default: SweepMode,
-) -> Result<(SweepMode, AdaptiveConfig), ArgError> {
+/// modes without editing flags. Without the flag, sweeps are dense.
+fn sweep_mode_from(args: &mut Args) -> Result<(SweepMode, AdaptiveConfig), ArgError> {
     let mode = match args.take_opt::<String>("--sweep-mode")?.as_deref() {
-        None => default,
-        Some("dense") => SweepMode::Dense,
+        None | Some("dense") => SweepMode::Dense,
         Some("adaptive") => SweepMode::Adaptive,
         Some(other) => {
             return Err(ArgError(format!(
@@ -300,9 +233,7 @@ fn cmd_sweep(mut args: Args) -> Result<ExitCode, ArgError> {
     let overhead = args.take_opt("--overhead")?.unwrap_or(1.8);
     let csv = args.take_flag("--csv");
     let quick = args.take_flag("--quick");
-    // Default off (one cell per task); perf defaults to full batches.
-    let batch = batch_lanes_from(&mut args, LaneMode::Off)?;
-    let (mode, adaptive_config) = sweep_mode_from(&mut args, SweepMode::Dense)?;
+    let (mode, adaptive_config) = sweep_mode_from(&mut args)?;
     let mut params = params_from(&mut args)?;
     if quick {
         params.warmup = params.warmup.min(2_000);
@@ -322,11 +253,10 @@ fn cmd_sweep(mut args: Args) -> Result<ExitCode, ArgError> {
         observed: false,
     };
     let pool = fo4depth::exec::global();
-    let lanes = batch.resolve(core, points.len());
     let sweep = match mode {
-        SweepMode::Dense => depth_sweep_spec_batched(&spec, pool, lanes),
+        SweepMode::Dense => depth_sweep_spec(&spec, pool),
         SweepMode::Adaptive => {
-            let adaptive = adaptive_sweep_spec(&spec, pool, lanes, &adaptive_config);
+            let adaptive = adaptive_sweep_spec(&spec, pool, &adaptive_config);
             adaptive_summary(&adaptive);
             adaptive.sweep
         }
@@ -511,7 +441,6 @@ fn cmd_yield(mut args: Args) -> Result<ExitCode, ArgError> {
     let core = core_from(&mut args)?;
     let overhead = args.take_opt("--overhead")?.unwrap_or(1.8);
     let quick = args.take_flag("--quick");
-    let batch = batch_lanes_from(&mut args, LaneMode::Off)?;
     let mut variation = variation_from(&mut args)?;
     let mut params = params_from(&mut args)?;
     if quick {
@@ -533,9 +462,8 @@ fn cmd_yield(mut args: Args) -> Result<ExitCode, ArgError> {
         observed: false,
     };
     let pool = fo4depth::exec::global();
-    let lanes = batch.resolve(core, points.len());
-    let sweep = yield_sweep_spec(&spec, variation, pool, Some(lanes))
-        .map_err(|e| ArgError(e.message().to_string()))?;
+    let sweep =
+        yield_sweep_spec(&spec, variation, pool).map_err(|e| ArgError(e.message().to_string()))?;
     println!(
         "yield-aware depth sweep: {} core, overhead {overhead} FO4, {} dies (seed {})",
         match core {
@@ -581,9 +509,7 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
     let core = core_from(&mut args)?;
     let quick = args.take_flag("--quick");
     let out_path = args.take_opt::<String>("--out")?;
-    // Default off, like `sweep`.
-    let batch = batch_lanes_from(&mut args, LaneMode::Off)?;
-    let (mode, adaptive_config) = sweep_mode_from(&mut args, SweepMode::Dense)?;
+    let (mode, adaptive_config) = sweep_mode_from(&mut args)?;
     let mut params = params_from(&mut args)?;
     if quick {
         // Short intervals and three representative clock points: enough for
@@ -609,7 +535,6 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
             "--sweep-mode adaptive needs strictly increasing --points".into(),
         ));
     }
-    let lanes = batch.resolve(core, points.len());
     let structures = StructureSet::alpha_21264();
     let spec = SweepSpec {
         core,
@@ -622,12 +547,11 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
     };
     let doc = match mode {
         SweepMode::Adaptive => {
-            let adaptive =
-                adaptive_sweep_spec(&spec, fo4depth::exec::global(), lanes, &adaptive_config);
+            let adaptive = adaptive_sweep_spec(&spec, fo4depth::exec::global(), &adaptive_config);
             report::adaptive_sweep_json(&adaptive, &params)
         }
         SweepMode::Dense => {
-            let sweep = depth_sweep_spec_batched(&spec, fo4depth::exec::global(), lanes);
+            let sweep = depth_sweep_spec(&spec, fo4depth::exec::global());
             report::sweep_json(&sweep, &params)
         }
     };
@@ -640,432 +564,6 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
             }
         }
         None => println!("{text}"),
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// One `fo4depth serve` shard subprocess for the perf harness, killed on
-/// drop so a panicking run cannot leak children.
-struct ShardProc {
-    child: std::process::Child,
-}
-
-impl Drop for ShardProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns one shard of this same binary on an ephemeral port and waits for
-/// its `listening on ADDR` banner.
-fn spawn_shard(jobs: usize) -> Result<(ShardProc, String), ArgError> {
-    use std::io::BufRead as _;
-    let exe = std::env::current_exe()
-        .map_err(|e| ArgError(format!("cannot locate the fo4depth binary: {e}")))?;
-    let mut child = std::process::Command::new(exe)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            &jobs.to_string(),
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .map_err(|e| ArgError(format!("cannot spawn shard: {e}")))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let proc = ShardProc { child };
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .map_err(|e| ArgError(format!("shard produced no address: {e}")))?;
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .ok_or_else(|| ArgError(format!("unexpected shard banner {line:?}")))?
-        .to_string();
-    Ok((proc, addr))
-}
-
-/// Times the routed full-OOO sweep through one shard vs `shards` shards.
-/// Both measurements use fresh shard subprocesses and fresh router engines,
-/// so both are equally cold; each shard gets the router's own `--jobs`, so
-/// the fleet's advantage is pure horizontal scale. Byte-identity against
-/// the local per-cell `reference` sweep is asserted, not sampled.
-fn shard_perf(
-    shards: usize,
-    params: &SimParams,
-    reference: Option<&DepthSweep>,
-) -> Result<fo4depth::util::json::Json, ArgError> {
-    use fo4depth::serve::api::{RequestLimits, SweepRequest};
-    use fo4depth::util::json::Json;
-
-    let jobs = fo4depth::exec::global().threads();
-    let spec = Json::obj(vec![
-        ("core", Json::str("ooo")),
-        ("warmup", Json::uint(params.warmup)),
-        ("measure", Json::uint(params.measure)),
-        ("seed", Json::uint(params.seed)),
-    ]);
-    let req = SweepRequest::from_json(&spec, &RequestLimits::default())
-        .expect("perf sweep spec is valid");
-
-    let route_through = |addrs: Vec<String>| -> Result<(DepthSweep, f64), ArgError> {
-        let config = ServeConfig {
-            shards: addrs,
-            ..ServeConfig::default()
-        };
-        let engine = fo4depth::serve::build_engine(&config)
-            .map_err(|e| ArgError(format!("cannot build router engine: {e}")))?;
-        let start = std::time::Instant::now();
-        let sweep = engine.sweep(&req, false);
-        Ok((sweep, start.elapsed().as_secs_f64()))
-    };
-
-    // Baseline: the whole keyspace on one shard. The wall clock starts
-    // before the spawn so `*_wall_seconds` prices the whole deployment
-    // (subprocess startup included), where `*_sim_seconds` prices only the
-    // routed sweep — the gap between them is the fleet's fixed cost.
-    let single_wall_start = std::time::Instant::now();
-    let (single_proc, single_addr) = spawn_shard(jobs)?;
-    let (single_sweep, single_sim) = route_through(vec![single_addr])?;
-    let single_wall = single_wall_start.elapsed().as_secs_f64();
-    drop(single_proc);
-
-    // The fleet: fresh processes, so the sharded run is just as cold.
-    let fleet_wall_start = std::time::Instant::now();
-    let fleet: Vec<(ShardProc, String)> = (0..shards)
-        .map(|_| spawn_shard(jobs))
-        .collect::<Result<_, _>>()?;
-    let addrs = fleet.iter().map(|(_, a)| a.clone()).collect();
-    let (fleet_sweep, fleet_sim) = route_through(addrs)?;
-    let fleet_wall = fleet_wall_start.elapsed().as_secs_f64();
-    drop(fleet);
-
-    assert_eq!(
-        single_sweep, fleet_sweep,
-        "sharded sweep diverged from the single-shard sweep"
-    );
-    if let Some(reference) = reference {
-        assert_eq!(
-            &fleet_sweep, reference,
-            "routed sweep diverged from the local per-cell sweep"
-        );
-    }
-    let speedup = single_sim / fleet_sim;
-    // Horizontal scale needs physical cores: on a `cpus`-core machine the
-    // ceiling is min(shards, cpus / jobs), so the report records the
-    // machine alongside the measurement.
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "sharding: {shards} shards {fleet_sim:.3} s vs 1 shard {single_sim:.3} s \
-         ({speedup:.2}x) at --jobs {jobs} per shard on {cpus} cpus"
-    );
-    Ok(Json::obj(vec![
-        ("shards", Json::uint(shards as u64)),
-        ("jobs_per_shard", Json::uint(jobs as u64)),
-        ("cpus", Json::uint(cpus as u64)),
-        ("single_shard_sim_seconds", Json::Num(single_sim)),
-        ("sharded_sim_seconds", Json::Num(fleet_sim)),
-        ("single_shard_wall_seconds", Json::Num(single_wall)),
-        ("sharded_wall_seconds", Json::Num(fleet_wall)),
-        ("shard_speedup", Json::Num(speedup)),
-    ]))
-}
-
-/// The fixed benchmarking workload: the full depth sweep at the paper's
-/// overhead, timed wall-clock, reported as deterministic-schema JSON so CI
-/// can track simulation throughput run-over-run. Trace generation
-/// (materializing the benchmark arenas, paid once and shared by every core
-/// and clock point) is timed separately from simulation.
-fn cmd_perf(mut args: Args) -> Result<ExitCode, ArgError> {
-    use fo4depth::util::json::Json;
-
-    apply_jobs(&mut args)?;
-    let quick = args.take_flag("--quick");
-    let out_path = args.take_opt::<String>("--out")?;
-    // Default on: every perf run times the lane-batched sweep alongside the
-    // per-cell sweep and asserts they agree bit-for-bit.
-    let batch = batch_lanes_from(&mut args, LaneMode::Max)?;
-    // Default adaptive: every perf run also times the adaptive planner and
-    // asserts it lands on the dense optimum. `--sweep-mode dense` skips it.
-    let (mode, adaptive_config) = sweep_mode_from(&mut args, SweepMode::Adaptive)?;
-    let cores: Vec<CoreKind> = match args.take_opt::<String>("--core")?.as_deref() {
-        None | Some("both") => vec![CoreKind::OutOfOrder, CoreKind::InOrder],
-        Some("ooo") => vec![CoreKind::OutOfOrder],
-        Some("inorder") => vec![CoreKind::InOrder],
-        Some(other) => {
-            return Err(ArgError(format!(
-                "unknown core {other}; expected ooo, inorder, or both"
-            )));
-        }
-    };
-    let shard_count = args.take_opt::<usize>("--shards")?.unwrap_or(0);
-    args.finish()?;
-    let params = if quick {
-        SimParams {
-            warmup: 2_000,
-            measure: 8_000,
-            seed: 1,
-        }
-    } else {
-        SimParams {
-            warmup: 10_000,
-            measure: 40_000,
-            seed: 1,
-        }
-    };
-    let profs = profiles::all();
-    let points = standard_points();
-    let structures = StructureSet::alpha_21264();
-    let pool = fo4depth::exec::global();
-    let start = std::time::Instant::now();
-    let arenas = build_arenas(&profs, &params, pool);
-    let trace_gen = start.elapsed().as_secs_f64();
-    let mut sweeps = Vec::new();
-    let mut ooo_reference: Option<DepthSweep> = None;
-    let (mut total_cycles, mut total_rate) = (0u64, 0.0f64);
-    for &core in &cores {
-        let spec = SweepSpec {
-            core,
-            profiles: &profs,
-            params: &params,
-            structures: &structures,
-            overhead: Fo4::new(1.8),
-            points: &points,
-            observed: false,
-        };
-        let sim_start = std::time::Instant::now();
-        let sweep = depth_sweep_arenas(&spec, &arenas, pool);
-        let sim = sim_start.elapsed().as_secs_f64();
-        let (mut cycles, mut instructions) = (0u64, 0u64);
-        for p in &sweep.points {
-            for o in &p.outcomes {
-                cycles += o.result.cycles;
-                instructions += o.result.instructions;
-            }
-        }
-        let (opt_t, opt_bips) = sweep.optimum(None);
-        if core == CoreKind::OutOfOrder {
-            ooo_reference = Some(sweep.clone());
-        }
-        total_cycles += cycles;
-        total_rate = cycles as f64 / sim;
-        let lanes = batch.resolve(core, points.len());
-        let batched = (lanes > 1).then(|| {
-            let batched_start = std::time::Instant::now();
-            let batched_sweep = depth_sweep_arenas_batched(&spec, &arenas, pool, lanes);
-            let batched_sim = batched_start.elapsed().as_secs_f64();
-            assert_eq!(
-                batched_sweep, sweep,
-                "batched sweep diverged from the per-cell sweep"
-            );
-            (lanes, batched_sim)
-        });
-        // The adaptive planner re-runs the same sweep through the search:
-        // warm arenas, same lane shape, and a hard assert that it lands on
-        // the dense optimum bit-for-bit.
-        let adaptive = (mode == SweepMode::Adaptive).then(|| {
-            let adaptive_start = std::time::Instant::now();
-            let a = adaptive_sweep_arenas(&spec, &arenas, pool, lanes, &adaptive_config);
-            let adaptive_sim = adaptive_start.elapsed().as_secs_f64();
-            assert_eq!(
-                a.sweep.optimum(None),
-                sweep.optimum(None),
-                "adaptive sweep missed the dense optimum"
-            );
-            (a, adaptive_sim)
-        });
-        let mut fields = vec![
-            (
-                "core",
-                Json::str(match core {
-                    CoreKind::OutOfOrder => "ooo",
-                    CoreKind::InOrder => "inorder",
-                }),
-            ),
-            ("sim_seconds", Json::Num(sim)),
-        ];
-        if let Some((lanes, batched_sim)) = batched {
-            fields.push(("batched_sim_seconds", Json::Num(batched_sim)));
-            fields.push(("batch_lanes", Json::uint(lanes as u64)));
-            fields.push(("batched_speedup", Json::Num(sim / batched_sim)));
-        }
-        if let Some((a, adaptive_sim)) = &adaptive {
-            fields.push(("adaptive_sim_seconds", Json::Num(*adaptive_sim)));
-            fields.push(("cells_simulated_dense", Json::uint(a.cells_dense as u64)));
-            fields.push((
-                "cells_simulated_adaptive",
-                Json::uint(a.cells_simulated as u64),
-            ));
-            fields.push(("adaptive_speedup", Json::Num(sim / adaptive_sim)));
-        }
-        fields.extend(vec![
-            ("simulated_cycles", Json::uint(cycles)),
-            ("simulated_instructions", Json::uint(instructions)),
-            (
-                "simulated_cycles_per_second",
-                Json::Num(cycles as f64 / sim),
-            ),
-            (
-                "simulated_instructions_per_second",
-                Json::Num(instructions as f64 / sim),
-            ),
-            (
-                "optimum",
-                Json::obj(vec![
-                    ("t_useful", Json::Num(opt_t)),
-                    ("bips", Json::Num(opt_bips)),
-                ]),
-            ),
-        ]);
-        sweeps.push(Json::obj(fields));
-    }
-    let wall = start.elapsed().as_secs_f64();
-    // The shard harness runs after the local sweeps so the OOO reference
-    // exists for the byte-identity assert; `wall_seconds` is captured
-    // first so it keeps meaning what it always has (local trace gen plus
-    // simulation), not subprocess startup.
-    let sharding = if shard_count > 0 {
-        Some(shard_perf(shard_count, &params, ooo_reference.as_ref())?)
-    } else {
-        None
-    };
-    // The yield harness: the Monte Carlo variation sweep on the
-    // out-of-order core, reusing the warm arenas. Runs after `wall` is
-    // captured so `wall_seconds` keeps its historical meaning; the MC cost
-    // is reported on its own as `mc_sim_seconds`.
-    let yield_perf = {
-        use fo4depth::study::yield_sweep::{run_yield_plan, YieldPlan};
-        let mut variation = VariationSpec::new(1);
-        if quick {
-            variation.samples = 24;
-        }
-        let spec = SweepSpec {
-            core: CoreKind::OutOfOrder,
-            profiles: &profs,
-            params: &params,
-            structures: &structures,
-            overhead: Fo4::new(1.8),
-            points: &points,
-            observed: false,
-        };
-        let plan =
-            YieldPlan::build(spec, variation, pool).expect("default variation spec is valid");
-        let mc_cells = plan.sample_cells();
-        let lanes = batch.resolve(CoreKind::OutOfOrder, points.len());
-        let mc_start = std::time::Instant::now();
-        let sweep = run_yield_plan(&plan, &arenas, pool, Some(lanes));
-        let mc_sim = mc_start.elapsed().as_secs_f64();
-        let (nom_t, nom_bips) = sweep.nominal_optimum();
-        let (mc_t, mc_yw) = sweep.yield_optimum_mc();
-        let (fast_t, fast_yw) = sweep.yield_optimum_fast();
-        let agreement = sweep.agreement();
-        eprintln!(
-            "yield: {} dies x {} points in {mc_sim:.3} s \
-             ({:.0} MC cells/s), optimum {mc_t} FO4 vs nominal {nom_t} FO4",
-            sweep.samples,
-            points.len(),
-            mc_cells as f64 / mc_sim
-        );
-        Json::obj(vec![
-            ("samples", Json::uint(u64::from(sweep.samples))),
-            ("mc_cells", Json::uint(mc_cells as u64)),
-            ("mc_sim_seconds", Json::Num(mc_sim)),
-            ("mc_samples_per_sec", Json::Num(mc_cells as f64 / mc_sim)),
-            (
-                "optimum_nominal",
-                Json::obj(vec![
-                    ("t_useful", Json::Num(nom_t)),
-                    ("bips", Json::Num(nom_bips)),
-                ]),
-            ),
-            (
-                "optimum_yield_mc",
-                Json::obj(vec![
-                    ("t_useful", Json::Num(mc_t)),
-                    ("ywbips", Json::Num(mc_yw)),
-                ]),
-            ),
-            (
-                "optimum_yield_fast",
-                Json::obj(vec![
-                    ("t_useful", Json::Num(fast_t)),
-                    ("ywbips", Json::Num(fast_yw)),
-                ]),
-            ),
-            (
-                "agreement",
-                Json::obj(vec![
-                    ("max_yield_abs_err", Json::Num(agreement.max_yield_abs_err)),
-                    (
-                        "optimum_step_delta",
-                        Json::Int(agreement.optimum_step_delta),
-                    ),
-                ]),
-            ),
-        ])
-    };
-    let mut doc_fields = vec![
-        ("schema_version", Json::Int(6)),
-        (
-            "workload",
-            Json::obj(vec![
-                (
-                    "cores",
-                    Json::Arr(
-                        cores
-                            .iter()
-                            .map(|c| {
-                                Json::str(match c {
-                                    CoreKind::OutOfOrder => "ooo",
-                                    CoreKind::InOrder => "inorder",
-                                })
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "points",
-                    Json::Arr(points.iter().map(|t| Json::Num(t.get())).collect()),
-                ),
-                (
-                    "benchmarks",
-                    Json::Arr(profs.iter().map(|p| Json::str(&p.name)).collect()),
-                ),
-                ("warmup", Json::uint(params.warmup)),
-                ("measure", Json::uint(params.measure)),
-                ("seed", Json::uint(params.seed)),
-            ]),
-        ),
-        (
-            "jobs",
-            Json::uint(fo4depth::exec::global().threads() as u64),
-        ),
-        ("trace_gen_seconds", Json::Num(trace_gen)),
-        ("wall_seconds", Json::Num(wall)),
-        ("sweeps", Json::Arr(sweeps)),
-        ("yield", yield_perf),
-    ];
-    if let Some(sharding) = sharding {
-        doc_fields.push(("sharding", sharding));
-    }
-    let doc = Json::obj(doc_fields);
-    let text = doc.pretty();
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("cannot write {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-            eprintln!(
-                "wrote {path}: {wall:.3} s wall ({trace_gen:.3} s trace gen), \
-                 {total_cycles} cycles, last sweep {total_rate:.0} cycles/s"
-            );
-        }
-        None => print!("{text}"),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1379,7 +877,6 @@ fn main() -> ExitCode {
         }),
         "yield" => cmd_yield(args),
         "report" => cmd_report(args),
-        "perf" => cmd_perf(args),
         "serve" => cmd_serve(args),
         "route" => cmd_route(args),
         "cache" => cmd_cache(args),

@@ -4,9 +4,10 @@
 //! There is one simulation engine: both drivers build the same core
 //! structures, and the engine's reference is the golden ledger of recorded
 //! cell digests (`tests/golden_cells.rs`). What this harness pins is the
-//! driving. Sweeps are dispatched by lane count — out-of-order groups of
-//! two or more cells take one lockstep pass over a shared arena, every
-//! other cell runs on its own — and every shape must reproduce the
+//! driving. Sweeps are dispatched by group size — out-of-order groups of
+//! [`MIN_BATCH_LANES`] cells or more take one lockstep pass over a shared
+//! arena, every other cell runs on its own — and every shape must
+//! reproduce the
 //! per-cell sweep ([`depth_sweep_arenas`], [`CellSpec::run`]) **byte for
 //! byte**: whole sweeps at any lane count, per-benchmark lane groups, and
 //! the serve tier's cell-granular assembly — cycles, BIPS inputs,
@@ -26,7 +27,7 @@ use fo4depth::study::scaler::ScaledMachine;
 use fo4depth::study::sim::{run_ooo, run_ooo_batched, BenchOutcome, SimParams};
 use fo4depth::study::sweep::{
     build_arenas, depth_sweep_arenas, depth_sweep_arenas_batched, depth_sweep_with, CoreKind,
-    SweepSpec,
+    SweepSpec, MIN_BATCH_LANES,
 };
 use fo4depth::workload::{profiles, BenchProfile};
 use fo4depth_fo4::Fo4;
@@ -55,16 +56,23 @@ fn test_points() -> Vec<Fo4> {
     [3.0, 6.8, 12.0].into_iter().map(Fo4::new).collect()
 }
 
+/// `k` off-grid clock points from 2.5 FO4 up, 1.3 FO4 apart.
+fn spread_points(k: usize) -> Vec<Fo4> {
+    #[allow(clippy::cast_precision_loss)]
+    (0..k).map(|i| Fo4::new(2.5 + 1.3 * i as f64)).collect()
+}
+
 /// For both cores, observed and unobserved, and every lane-count shape
 /// (serial lanes, even splits, ragged tails, one all-points batch), the
 /// batched sweep is bit-identical to the per-cell sweep over the same
-/// arenas.
+/// arenas. The grid is wide enough that some groups reach
+/// [`MIN_BATCH_LANES`] and run as lanes.
 #[test]
 fn batched_sweep_is_bit_identical_to_scalar() {
     let profs = test_profiles();
     let params = test_params();
     let structures = StructureSet::alpha_21264();
-    let points = test_points();
+    let points = spread_points(MIN_BATCH_LANES + 2);
     let pool = Pool::new(2);
     let arenas = build_arenas(&profs, &params, &pool);
     for core in [CoreKind::OutOfOrder, CoreKind::InOrder] {
@@ -79,7 +87,7 @@ fn batched_sweep_is_bit_identical_to_scalar() {
                 observed,
             };
             let scalar = depth_sweep_arenas(&spec, &arenas, &pool);
-            for lanes in [1, 2, points.len(), usize::MAX] {
+            for lanes in [1, 2, MIN_BATCH_LANES, points.len(), usize::MAX] {
                 let batched = depth_sweep_arenas_batched(&spec, &arenas, &pool, lanes);
                 common::assert_sweeps_bitwise_eq(
                     &format!("{core:?} observed={observed} lanes={lanes}"),
@@ -98,7 +106,7 @@ fn batched_sweep_is_pool_size_invariant() {
     let profs = test_profiles();
     let params = test_params();
     let structures = StructureSet::alpha_21264();
-    let points = test_points();
+    let points = spread_points(MIN_BATCH_LANES + 2);
     let serial = Pool::new(1);
     let wide = Pool::new(4);
     let arenas = build_arenas(&profs, &params, &serial);
@@ -112,8 +120,8 @@ fn batched_sweep_is_pool_size_invariant() {
             points: &points,
             observed: false,
         };
-        let a = depth_sweep_arenas_batched(&spec, &arenas, &serial, 2);
-        let b = depth_sweep_arenas_batched(&spec, &arenas, &wide, 2);
+        let a = depth_sweep_arenas_batched(&spec, &arenas, &serial, MIN_BATCH_LANES);
+        let b = depth_sweep_arenas_batched(&spec, &arenas, &wide, MIN_BATCH_LANES);
         common::assert_sweeps_bitwise_eq(
             &format!("{core:?}: batched sweep across pool sizes"),
             &a,
@@ -164,16 +172,22 @@ fn non_conventional_windows_batch_bit_identically() {
 /// The serve tier's cache-fill seam: a lane group filled through
 /// [`run_cell_group`] returns, cell for cell, exactly what the per-cell
 /// [`CellSpec::run`] returns — so a batch-filled cache entry and a
-/// per-cell one are interchangeable.
+/// per-cell one are interchangeable. The group sizes straddle
+/// [`MIN_BATCH_LANES`], so both drivers fill a group.
 #[test]
 fn cell_group_matches_scalar_cells() {
     let profs = test_profiles();
     let params = test_params();
     let structures = StructureSet::alpha_21264();
-    let points = test_points();
     let pool = Pool::new(1);
     let arenas = build_arenas(&profs, &params, &pool);
-    for observed in [false, true] {
+    for (points, observed) in [
+        (test_points(), false),
+        (test_points(), true),
+        (spread_points(MIN_BATCH_LANES - 1), false),
+        (spread_points(MIN_BATCH_LANES), false),
+        (spread_points(MIN_BATCH_LANES), true),
+    ] {
         let cells = sweep_cells(
             CoreKind::OutOfOrder,
             &profs,
@@ -191,7 +205,11 @@ fn cell_group_matches_scalar_cells() {
             let scalar: Vec<BenchOutcome> =
                 group.iter().map(|c| c.run(&structures, arena)).collect();
             common::assert_outcomes_bitwise_eq(
-                &format!("cell group {} observed={observed}", profs[bi].name),
+                &format!(
+                    "cell group {} of {} observed={observed}",
+                    profs[bi].name,
+                    points.len()
+                ),
                 &scalar,
                 &batched,
             );
@@ -271,8 +289,8 @@ proptest! {
     /// was batched.
     #[test]
     fn any_lane_count_is_bit_identical(
-        lanes in 1usize..8,
-        npoints in 1usize..5,
+        lanes in 1usize..MIN_BATCH_LANES + 3,
+        npoints in 1usize..MIN_BATCH_LANES + 3,
         observed in any::<bool>(),
     ) {
         let profs: Vec<BenchProfile> = ["164.gzip", "181.mcf"]
@@ -280,8 +298,7 @@ proptest! {
             .map(|n| profiles::by_name(n).expect("known benchmark"))
             .collect();
         let params = SimParams { warmup: 500, measure: 1_500, seed: 1 };
-        let all_points: Vec<Fo4> =
-            [2.0, 5.5, 8.0, 13.0].into_iter().map(Fo4::new).collect();
+        let all_points = spread_points(MIN_BATCH_LANES + 2);
         let points = &all_points[..npoints];
         let structures = StructureSet::alpha_21264();
         let pool = Pool::new(2);

@@ -24,9 +24,13 @@ fn no_args_prints_usage_and_fails() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let (_, err, ok) = run(&["frobnicate"]);
-    assert!(!ok);
-    assert!(err.contains("usage:"));
+    // `perf` was a second timing harness; timing now lives in `perfbench`
+    // and the gates in `tests/perf_gates.rs`.
+    for cmd in ["frobnicate", "perf"] {
+        let out = fo4depth().arg(cmd).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "command: {cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    }
 }
 
 #[test]
@@ -36,7 +40,10 @@ fn unknown_flags_fail_with_exit_2() {
     for args in [
         &["report", "--bogus"][..],
         &["sweep", "--meausre", "10"],
-        &["perf", "--quik"],
+        &["yield", "--samles", "8"],
+        &["sweep", "--batch-lanes", "off"],
+        &["report", "--batch-lanes", "max"],
+        &["yield", "--batch-lanes", "1"],
         &["serve", "--port", "1"],
         &["bench", "164.gzip", "--warmpu", "10"],
         &["table3", "--verbose"],
@@ -112,8 +119,6 @@ fn adaptive_sweep_prints_probe_summary_and_rejects_bad_knobs() {
         "--quick",
         "--sweep-mode",
         "adaptive",
-        "--batch-lanes",
-        "auto",
     ]);
     assert!(ok, "adaptive sweep failed: {err}");
     // The search summary goes to stderr so piped CSV/JSON stays clean.
@@ -124,13 +129,6 @@ fn adaptive_sweep_prints_probe_summary_and_rejects_bad_knobs() {
     let (_, err, ok) = run(&["sweep", "--sweep-mode", "quantum"]);
     assert!(!ok);
     assert!(err.contains("unknown sweep mode"), "stderr: {err}");
-
-    let (_, err, ok) = run(&["sweep", "--batch-lanes", "-3"]);
-    assert!(!ok);
-    assert!(
-        err.contains("--batch-lanes") || err.contains("unknown option"),
-        "stderr: {err}"
-    );
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! The claims under test are the serving subsystem's contract:
 //! byte-identity with the offline CLI path, cache hits on repeats,
 //! cell reuse across overlapping sweeps, coalescing of concurrent
-//! identical requests, load shedding at the bounded queue, and graceful
-//! drain on shutdown.
+//! identical requests, load shedding at the bounded queue, graceful
+//! drain on shutdown, and request decoders that never panic on hostile
+//! bodies.
 
 mod common;
 
@@ -15,12 +16,15 @@ use std::time::{Duration, Instant};
 
 use common::{counter, get, metrics, post, read_response, send, start, wait_for_counter, Response};
 use fo4depth::fo4::Fo4;
+use fo4depth::serve::api::{ApiError, CellsRequest, RingRequest};
 use fo4depth::serve::ServeConfig;
 use fo4depth::study::report;
 use fo4depth::study::sim::SimParams;
 use fo4depth::study::sweep::CoreKind;
-use fo4depth::util::Json;
+use fo4depth::util::{Json, JsonLimits};
 use fo4depth::workload::profiles;
+use proptest::prelude::*;
+use proptest::TestCaseError;
 
 #[test]
 fn report_is_byte_identical_to_offline_and_repeats_hit_the_cache() {
@@ -511,4 +515,216 @@ fn slowloris_connection_is_cut_by_the_total_request_deadline() {
         started.elapsed() < Duration::from_secs(3),
         "deadline fired within the budget, not at the io_timeout"
     );
+}
+
+/// A well-formed `/v1/cells` body: the router's scatter shape.
+const CELLS_BODY: &str = r#"{"schema_version":1,"core":"ooo","warmup":2000,"measure":8000,"seed":1,"overhead":1.8,"observed":false,"cells":[{"benchmark":"164.gzip","t_useful":6},{"benchmark":"181.mcf","t_useful":8.5}]}"#;
+
+/// A well-formed `POST /v1/ring` body.
+const RING_BODY: &str =
+    r#"{"schema_version":1,"add":["127.0.0.1:7001","127.0.0.1:7002"],"remove":["127.0.0.1:7003"]}"#;
+
+/// Applies byte edits to `base`: each `(at, byte, op)` overwrites,
+/// inserts or deletes at `at` modulo the current length.
+fn mutate(base: &[u8], edits: &[(u64, u8, u8)]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    for &(at, byte, op) in edits {
+        #[allow(clippy::cast_possible_truncation)]
+        let i = (at % (bytes.len() as u64 + 1)) as usize;
+        match op % 3 {
+            0 if i < bytes.len() => bytes[i] = byte,
+            1 if i < bytes.len() => {
+                bytes.remove(i);
+            }
+            _ => bytes.insert(i, byte),
+        }
+    }
+    bytes
+}
+
+/// Random draws that shape a generated document (zeros once used up).
+struct Picks<'a>(std::slice::Iter<'a, u64>);
+
+impl Picks<'_> {
+    fn below(&mut self, n: usize) -> usize {
+        #[allow(clippy::cast_possible_truncation)]
+        self.0.next().map_or(0, |v| (v % n as u64) as usize)
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len())]
+    }
+}
+
+const STRINGS: [&str; 8] = [
+    "",
+    "ooo",
+    "inorder",
+    "164.gzip",
+    "181.mcf",
+    "127.0.0.1:7001",
+    "no-port",
+    "x:",
+];
+const INTS: [i64; 7] = [0, 1, 2, -1, 2_000, 999_999, i64::MAX];
+const NUMBERS: [f64; 10] = [0.0, -1.0, 0.5, 1.8, 6.0, 20.0, 20.5, 1e6, 1e19, 1e300];
+
+/// A value of any type, drawn from the edge values the decoders check.
+fn leaf(p: &mut Picks<'_>) -> Json {
+    match p.below(6) {
+        0 => Json::Null,
+        1 => Json::Bool(p.below(2) == 1),
+        2 => Json::Int(p.pick(&INTS)),
+        3 => Json::Num(p.pick(&NUMBERS)),
+        4 => Json::str(p.pick(&STRINGS)),
+        _ => Json::Arr(Vec::new()),
+    }
+}
+
+/// A value for `key`: mostly of the type its decoder expects, one in four
+/// of any type.
+fn field(p: &mut Picks<'_>, key: &str) -> Json {
+    if p.below(4) == 0 {
+        return leaf(p);
+    }
+    let n = p.below(4);
+    match key {
+        "cells" => Json::Arr(
+            (0..n)
+                .map(|_| object(p, &["benchmark", "t_useful"]))
+                .collect(),
+        ),
+        "add" | "remove" => Json::Arr((0..n).map(|_| Json::str(p.pick(&STRINGS))).collect()),
+        "schema_version" => Json::Int(p.pick(&[1, 1, 2])),
+        "core" | "benchmark" => Json::str(p.pick(&STRINGS)),
+        "observed" => Json::Bool(p.below(2) == 1),
+        _ if p.below(2) == 0 => Json::Int(p.pick(&INTS)),
+        _ => Json::Num(p.pick(&NUMBERS)),
+    }
+}
+
+/// An object over `keys` (one key in eight a stray), possibly with
+/// repeats, each value drawn by [`field`].
+fn object(p: &mut Picks<'_>, keys: &[&str]) -> Json {
+    let n = p.below(keys.len() + 2);
+    Json::Obj(
+        (0..n)
+            .map(|_| {
+                let key = if p.below(8) == 0 {
+                    "stray"
+                } else {
+                    p.pick(keys)
+                };
+                (key.to_string(), field(p, key))
+            })
+            .collect(),
+    )
+}
+
+/// The `/v1/cells` decoder's verdict must be `Ok` within the server's
+/// request limits, or a structured 4xx.
+fn check_cells(doc: &Json, config: &ServeConfig) -> Result<(), TestCaseError> {
+    let limits = &config.limits;
+    match CellsRequest::from_json(doc, limits) {
+        Ok(req) => {
+            prop_assert!(!req.cells.is_empty());
+            prop_assert!(req.cells.len() <= limits.max_points * limits.max_benchmarks);
+            for cell in &req.cells {
+                let p = cell.params;
+                prop_assert!(p.measure >= 1);
+                prop_assert!(p.warmup.saturating_add(p.measure) <= limits.max_instructions);
+                prop_assert!(cell.t_useful.get().is_finite() && cell.t_useful.get() > 0.0);
+                prop_assert!((0.0..=20.0).contains(&cell.overhead.get()));
+            }
+        }
+        Err(e) => check_api_error(&e)?,
+    }
+    Ok(())
+}
+
+/// The `/v1/ring` decoder's verdict must name at least one non-empty
+/// address, or be a structured 4xx.
+fn check_ring(doc: &Json) -> Result<(), TestCaseError> {
+    match RingRequest::from_json(doc) {
+        Ok(req) => {
+            prop_assert!(!(req.add.is_empty() && req.remove.is_empty()));
+            prop_assert!(req.add.iter().chain(&req.remove).all(|a| !a.is_empty()));
+        }
+        Err(e) => check_api_error(&e)?,
+    }
+    Ok(())
+}
+
+fn check_api_error(e: &ApiError) -> Result<(), TestCaseError> {
+    prop_assert!(
+        (400..500).contains(&e.status),
+        "status {} ({})",
+        e.status,
+        e.code
+    );
+    prop_assert!(!e.message.is_empty());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The `/v1/cells` and `/v1/ring` decoders never panic. Bodies are raw
+    /// bytes, valid bodies under up to 12 byte edits, deep bracket nests,
+    /// or generated documents over each decoder's own keys with edge
+    /// values; each goes through `Json::parse_bytes` with the server's
+    /// body and depth limits, then through both decoders, exactly as the
+    /// routes do. `/v1/records` is covered by the store-codec proptests in
+    /// `tests/persist.rs`.
+    #[test]
+    fn cells_and_ring_decoders_never_panic(
+        kind in 0u8..6,
+        raw in proptest::collection::vec(any::<u8>(), 0..600),
+        edits in proptest::collection::vec((any::<u64>(), any::<u8>(), any::<u8>()), 0..12),
+        picks in proptest::collection::vec(any::<u64>(), 0..96),
+        depth in 0usize..400,
+    ) {
+        let config = ServeConfig::default();
+        let json_limits = JsonLimits {
+            max_bytes: config.max_body,
+            ..JsonLimits::default()
+        };
+        let mut picks = Picks(picks.iter());
+        let body = match kind {
+            0 => raw,
+            1 => mutate(CELLS_BODY.as_bytes(), &edits),
+            2 => mutate(RING_BODY.as_bytes(), &edits),
+            3 => {
+                let mut nest = "[".repeat(depth).into_bytes();
+                nest.extend(mutate(b"{\"cells\":[]}", &edits));
+                nest.extend("]".repeat(depth).into_bytes());
+                nest
+            }
+            4 => object(
+                &mut picks,
+                &[
+                    "schema_version", "core", "warmup", "measure", "seed", "overhead",
+                    "observed", "cells",
+                ],
+            )
+            .render()
+            .into_bytes(),
+            _ => object(&mut picks, &["schema_version", "add", "remove"])
+                .render()
+                .into_bytes(),
+        };
+        if let Ok(doc) = Json::parse_bytes(&body, &json_limits) {
+            check_cells(&doc, &config)?;
+            check_ring(&doc)?;
+            // An unedited template must decode: the edits start from
+            // valid bodies.
+            if edits.is_empty() {
+                match kind {
+                    1 => prop_assert!(CellsRequest::from_json(&doc, &config.limits).is_ok()),
+                    2 => prop_assert!(RingRequest::from_json(&doc).is_ok()),
+                    _ => {}
+                }
+            }
+        }
+    }
 }

@@ -16,9 +16,10 @@ use fo4depth::exec::Pool;
 use fo4depth::serve::ServeConfig;
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::sim::SimParams;
-use fo4depth::study::sweep::{standard_points, CoreKind, SweepSpec};
-use fo4depth::study::yield_sweep::{yield_sweep_spec, YieldSweep};
-use fo4depth::util::Json;
+use fo4depth::study::sweep::{build_arenas, standard_points, CoreKind, SweepSpec, MIN_BATCH_LANES};
+use fo4depth::study::yield_sweep::{run_yield_plan, yield_sweep_spec, YieldSweep};
+use fo4depth::study::YieldPlan;
+use fo4depth::util::{fnv1a, Json};
 use fo4depth::variation::VariationSpec;
 use fo4depth::workload::profiles;
 use fo4depth_fo4::Fo4;
@@ -72,7 +73,9 @@ fn small_yield(pool: &Pool, lanes: Option<usize>) -> YieldSweep {
     };
     let mut variation = VariationSpec::new(7);
     variation.samples = 12;
-    yield_sweep_spec(&spec, variation, pool, lanes).expect("valid variation spec")
+    let plan = YieldPlan::build(spec, variation, pool).expect("valid variation spec");
+    let arenas = build_arenas(&profs, &params, pool);
+    run_yield_plan(&plan, &arenas, pool, lanes)
 }
 
 /// The same seed must produce the same dies and the same sweep — bit for
@@ -83,7 +86,12 @@ fn small_yield(pool: &Pool, lanes: Option<usize>) -> YieldSweep {
 fn yield_sweep_is_pool_and_lane_invariant() {
     let max = fo4depth::exec::default_threads().max(2);
     let reference = small_yield(&Pool::new(1), None);
-    for (threads, lanes) in [(1, Some(2)), (2, None), (2, Some(3)), (max, Some(2))] {
+    for (threads, lanes) in [
+        (1, Some(2)),
+        (2, None),
+        (2, Some(MIN_BATCH_LANES)),
+        (max, Some(15)),
+    ] {
         let candidate = small_yield(&Pool::new(threads), lanes);
         common::assert_sweeps_bitwise_eq(
             &format!("yield nominal, pool {threads} lanes {lanes:?}"),
@@ -127,7 +135,7 @@ fn fast_path_agrees_with_monte_carlo_on_the_standard_grid() {
     };
     let variation = VariationSpec::new(1);
     let pool = fo4depth::exec::global();
-    let sweep = yield_sweep_spec(&spec, variation, pool, None).expect("valid variation spec");
+    let sweep = yield_sweep_spec(&spec, variation, pool).expect("valid variation spec");
 
     let agreement = sweep.agreement();
     assert!(
@@ -186,6 +194,72 @@ fn fast_path_agrees_with_monte_carlo_on_the_standard_grid() {
         fast_t >= nominal_t,
         "yield optimum (fast) at {fast_t} FO4 is deeper than nominal {nominal_t} FO4"
     );
+}
+
+const YIELD_LEDGER: &str = include_str!("golden/yield.txt");
+
+/// The recorded-digest form of a yield sweep: one line for the whole
+/// sweep (nominal outcomes, die count and variation digest included),
+/// then one per grid point, each the FNV-1a of the value's `Debug` text —
+/// the rule of `tests/golden/cells.txt`.
+fn yield_ledger(sweep: &YieldSweep) -> String {
+    let mut out = format!("sweep {:016x}\n", fnv1a(format!("{sweep:?}").as_bytes()));
+    for p in &sweep.points {
+        out.push_str(&format!(
+            "point {} {:016x}\n",
+            p.t_useful,
+            fnv1a(format!("{p:?}").as_bytes())
+        ));
+    }
+    out
+}
+
+/// A fixed-seed yield sweep reproduces its recorded digests through both
+/// library entries: `yield_sweep_spec` (lanes picked by the library) and
+/// `run_yield_plan` one cell per task. Out-of-order core, three profiles
+/// (one per class), 8 dies of `VariationSpec::new(1)`, 2 000 + 8 000
+/// instructions, the standard grid. There is deliberately no
+/// regeneration switch: a change that moves a digest changes sampled or
+/// simulated behaviour and must say why.
+#[test]
+fn yield_sweep_reproduces_the_golden_digests() {
+    let profs: Vec<_> = ["164.gzip", "171.swim", "181.mcf"]
+        .into_iter()
+        .map(|n| profiles::by_name(n).expect("known benchmark"))
+        .collect();
+    let params = SimParams {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 1,
+    };
+    let structures = StructureSet::alpha_21264();
+    let points = standard_points();
+    let spec = SweepSpec {
+        core: CoreKind::OutOfOrder,
+        profiles: &profs,
+        params: &params,
+        structures: &structures,
+        overhead: Fo4::new(1.8),
+        points: &points,
+        observed: false,
+    };
+    let mut variation = VariationSpec::new(1);
+    variation.samples = 8;
+    let pool = fo4depth::exec::global();
+    let auto = yield_sweep_spec(&spec, variation, pool).expect("valid variation spec");
+    let plan = YieldPlan::build(spec, variation, pool).expect("valid variation spec");
+    let arenas = build_arenas(&profs, &params, pool);
+    let per_cell = run_yield_plan(&plan, &arenas, pool, None);
+    for (entry, sweep) in [
+        ("yield_sweep_spec", &auto),
+        ("run_yield_plan(None)", &per_cell),
+    ] {
+        let got = yield_ledger(sweep);
+        assert_eq!(
+            got, YIELD_LEDGER,
+            "{entry} drifted from tests/golden/yield.txt\n--- engine ---\n{got}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
