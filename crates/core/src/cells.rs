@@ -8,6 +8,16 @@
 //! what-if queries: same benchmarks, overlapping clock points) share the
 //! cached work instead of re-simulating it.
 //!
+//! The fingerprint addresses the *simulated machine*, not the clock point:
+//! Table 3 quantizes every latency into whole cycles, so many clock points
+//! (and overheads) scale to the same [`CoreConfig`], and a cell's outcome
+//! depends only on the core, the benchmark, that config, the simulation
+//! intervals and the observation mode. Cells at two such points share one
+//! fingerprint and one simulation; what differs between them — the clock
+//! period an outcome is priced at — is applied at assembly, never stored.
+//! [`DistinctCells`] collapses a cell list to one cell per fingerprint
+//! before dispatch and fans the outcomes back out by position.
+//!
 //! This module defines the cell ([`CellSpec`]), its fingerprint, how it
 //! executes ([`CellSpec::run`], [`run_cell_group`] — through the same grid
 //! dispatch as [`depth_sweep_arenas`](crate::sweep::depth_sweep_arenas),
@@ -15,9 +25,11 @@
 //! construction), and the reassembly of per-cell outcomes into a
 //! [`DepthSweep`] ([`assemble_sweep`]).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use fo4depth_fo4::Fo4;
+use fo4depth_pipeline::CoreConfig;
 use fo4depth_util::hash::Fnv64;
 use fo4depth_workload::{BenchProfile, TraceArena};
 
@@ -27,8 +39,10 @@ use crate::sim::{BenchOutcome, SimParams};
 use crate::sweep::{run_grid_group, CoreKind, DepthSweep, SweepPoint};
 
 /// Fingerprint-schema version: folded into every digest, bumped whenever a
-/// simulation change makes previously cached outcomes stale.
-pub const CELL_SCHEMA: u64 = 1;
+/// simulation change makes previously cached outcomes stale, or the
+/// fingerprint itself changes what it hashes (2: the scaled machine's
+/// config in place of the clock point).
+pub const CELL_SCHEMA: u64 = 2;
 
 /// Everything that determines one `(clock point × benchmark)` outcome.
 #[derive(Debug, Clone)]
@@ -45,19 +59,32 @@ pub struct CellSpec {
     pub params: SimParams,
     /// Whether stall-attribution counters are collected.
     pub observed: bool,
-    /// Identity of the structure access-time set (e.g. `"alpha_21264"`).
-    /// Distinct sets must use distinct tags or cells will falsely collide.
+    /// Identity of the structure access-time set (e.g. `"alpha_21264"`):
+    /// a tag [`StructureSet::for_tag`] resolves, whose set the
+    /// fingerprint scales the cell's machine over.
     pub structures_tag: &'static str,
 }
 
 impl CellSpec {
     /// The cell's canonical content address: a stable FNV-1a digest of
-    /// every field that feeds the simulation. Equal fingerprints mean
-    /// bit-identical [`BenchOutcome`]s (same platform-independent
-    /// simulator, same seed); the digest is stable across processes, so
-    /// it can key a cache that outlives any one run.
+    /// the core, the benchmark, the [`CoreConfig`] this cell's clock point
+    /// scales to (through [`ScaledMachine::at`] over the structure set its
+    /// `structures_tag` names), the simulation intervals and seed, and
+    /// the observation mode. `t_useful` and `overhead` enter only through
+    /// that config, so two points that quantize to the same machine share
+    /// a fingerprint. Equal fingerprints mean bit-identical
+    /// [`BenchOutcome`]s (same platform-independent simulator, same
+    /// seed); the digest is stable across processes, so it can key a
+    /// cache that outlives any one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `structures_tag` names no known structure set.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
+        let structures = StructureSet::for_tag(self.structures_tag)
+            .unwrap_or_else(|| panic!("unknown structure set {:?}", self.structures_tag));
+        let machine = ScaledMachine::at(&structures, self.t_useful, self.overhead);
         let mut h = Fnv64::new();
         h.write_u64(CELL_SCHEMA);
         h.write_str(match self.core {
@@ -65,13 +92,11 @@ impl CellSpec {
             CoreKind::OutOfOrder => "ooo",
         });
         h.write_str(&self.profile.name);
-        h.write_f64(self.t_useful.get());
-        h.write_f64(self.overhead.get());
+        machine.config.digest(&mut h);
         h.write_u64(self.params.warmup);
         h.write_u64(self.params.measure);
         h.write_u64(self.params.seed);
         h.write_u64(u64::from(self.observed));
-        h.write_str(self.structures_tag);
         h.finish()
     }
 
@@ -138,8 +163,87 @@ pub fn run_cell_group(
         .iter()
         .map(|c| ScaledMachine::at(structures, c.t_useful, c.overhead))
         .collect();
-    let configs: Vec<&fo4depth_pipeline::CoreConfig> = machines.iter().map(|m| &m.config).collect();
+    let configs: Vec<&CoreConfig> = machines.iter().map(|m| &m.config).collect();
     run_grid_group(first.core, first.observed, &configs, arena, &first.params)
+}
+
+/// A cell list collapsed to one cell per fingerprint — the one place a
+/// list of cells is deduplicated before it reaches a simulator (the yield
+/// plan, the serve engine's fill, and through it the router's scatter).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistinctCells {
+    /// Input position of the first cell with each distinct fingerprint,
+    /// in first-seen order.
+    firsts: Vec<usize>,
+    /// The distinct fingerprints, parallel to `firsts`.
+    fingerprints: Vec<u64>,
+    /// For every input position, the index (into `firsts`) of the
+    /// distinct cell that stands for it.
+    slots: Vec<usize>,
+}
+
+impl DistinctCells {
+    /// Fingerprints every cell once and groups equal fingerprints.
+    #[must_use]
+    pub fn of(cells: &[CellSpec]) -> Self {
+        let mut index: HashMap<u64, usize> = HashMap::with_capacity(cells.len());
+        let mut firsts = Vec::new();
+        let mut fingerprints = Vec::new();
+        let slots = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let fingerprint = cell.fingerprint();
+                *index.entry(fingerprint).or_insert_with(|| {
+                    firsts.push(i);
+                    fingerprints.push(fingerprint);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        Self {
+            firsts,
+            fingerprints,
+            slots,
+        }
+    }
+
+    /// Input position of the first cell with each distinct fingerprint,
+    /// in first-seen order: the cells to dispatch.
+    #[must_use]
+    pub fn firsts(&self) -> &[usize] {
+        &self.firsts
+    }
+
+    /// The distinct fingerprints, parallel to [`Self::firsts`].
+    #[must_use]
+    pub fn fingerprints(&self) -> &[u64] {
+        &self.fingerprints
+    }
+
+    /// Number of distinct cells.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.firsts.len()
+    }
+
+    /// Whether the input list was empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.firsts.is_empty()
+    }
+
+    /// Fans one result per distinct cell back out to every input
+    /// position, in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `results` holds exactly one entry per distinct cell.
+    #[must_use]
+    pub fn fan_out<T: Clone>(&self, results: &[T]) -> Vec<T> {
+        assert_eq!(results.len(), self.len(), "one result per distinct cell");
+        self.slots.iter().map(|&k| results[k].clone()).collect()
+    }
 }
 
 /// Decomposes a sweep into its cells, in grid order (points major,
@@ -248,6 +352,36 @@ mod tests {
         let mut other = cell(6.0, 1);
         other.profile = profiles::by_name("181.mcf").unwrap();
         assert_ne!(base, other.fingerprint(), "benchmark");
+
+        // Same machine ⇒ same fingerprint: the address is the scaled
+        // config, not the clock point that produced it.
+        let structures = StructureSet::alpha_21264();
+        let config =
+            |t: f64, o: f64| ScaledMachine::at(&structures, Fo4::new(t), Fo4::new(o)).config;
+        assert_eq!(config(11.75, 1.8), config(11.9, 1.8), "off-grid pair");
+        assert_eq!(
+            cell(11.75, 1).fingerprint(),
+            cell(11.9, 1).fingerprint(),
+            "two off-grid points, one machine"
+        );
+        assert_eq!(config(6.0, 1.8), config(6.0, 3.0), "overhead pair");
+        let mut other = cell(6.0, 1);
+        other.overhead = Fo4::new(3.0);
+        assert_eq!(base, other.fingerprint(), "one point at two overheads");
+    }
+
+    #[test]
+    fn distinct_cells_collapse_and_fan_back_out() {
+        let cells = [cell(11.75, 1), cell(6.0, 1), cell(11.9, 1), cell(6.0, 2)];
+        let distinct = DistinctCells::of(&cells);
+        assert_eq!(distinct.firsts, [0, 1, 3]);
+        assert_eq!(distinct.slots, [0, 1, 0, 2]);
+        assert_eq!(
+            distinct.fingerprints,
+            [0, 1, 3].map(|i| cells[i].fingerprint())
+        );
+        assert_eq!(distinct.fan_out(&["a", "b", "c"]), ["a", "b", "a", "c"]);
+        assert!(DistinctCells::of(&[]).is_empty());
     }
 
     #[test]

@@ -78,6 +78,17 @@ impl StructureSet {
         })
     }
 
+    /// The structure set a cell's `structures_tag` names, or `None` for a
+    /// tag no set answers to. The tag is how a cell names its structures
+    /// without carrying them; this lookup is the one place tags resolve.
+    #[must_use]
+    pub fn for_tag(tag: &str) -> Option<Self> {
+        match tag {
+            "alpha_21264" => Some(Self::alpha_21264()),
+            _ => None,
+        }
+    }
+
     /// Same structures with an arbitrary capacity choice (the §4.5 search):
     /// D-cache capacity in bytes, L2 capacity in bytes, window entries, and
     /// predictor table entries.
@@ -332,6 +343,15 @@ mod tests {
     fn memory_latency_is_2002_dram_scale() {
         let ns = memory_latency_ps().nanoseconds();
         assert!((50.0..=100.0).contains(&ns), "memory = {ns} ns");
+    }
+
+    #[test]
+    fn tags_resolve_to_their_sets() {
+        assert_eq!(
+            StructureSet::for_tag("alpha_21264"),
+            Some(StructureSet::alpha_21264())
+        );
+        assert_eq!(StructureSet::for_tag("no_such_set"), None);
     }
 
     #[test]

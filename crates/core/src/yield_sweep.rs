@@ -31,7 +31,7 @@ use fo4depth_util::hash::Fnv64;
 use fo4depth_variation::{DieSample, FastPath, Sampler, VariationError, VariationSpec};
 use fo4depth_workload::TraceArena;
 
-use crate::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec};
+use crate::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec, DistinctCells};
 use crate::sim::{summarize, BenchOutcome};
 use crate::sweep::{DepthSweep, SweepSpec};
 
@@ -200,12 +200,23 @@ impl<'a> YieldPlan<'a> {
     ///
     /// The nominal device is the 100 nm calibration — the same device
     /// behind every other sweep's clock model.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `spec.structures` is the Alpha 21264 set: plan cells
+    /// carry its tag, and their fingerprints (which decide what
+    /// [`run_yield_plan`] simulates once) scale that set.
     pub fn build(
         spec: SweepSpec<'a>,
         variation: VariationSpec,
         pool: &fo4depth_exec::Pool,
     ) -> Result<Self, VariationError> {
         variation.validate()?;
+        assert_eq!(
+            crate::latency::StructureSet::for_tag("alpha_21264").as_ref(),
+            Some(spec.structures),
+            "plan cells are tagged alpha_21264, so the spec must simulate that set"
+        );
         let device = fo4depth_circuit::DeviceParams::at_100nm();
         let sampler = Sampler::new(variation, device, spec.overhead.get());
         let fast = FastPath::new(variation, device, sampler.overhead_components());
@@ -399,10 +410,12 @@ impl<'a> YieldPlan<'a> {
 }
 
 /// Runs a planned yield sweep over pre-materialized arenas on an explicit
-/// pool: each benchmark's cells are grouped into batches of up to `lanes`
-/// clock points (`None`: one cell per batch), one pool task per batch —
-/// positional, so the result is bit-identical at any lane count and pool
-/// size.
+/// pool: the plan is collapsed to one cell per fingerprint (one per
+/// simulated machine — [`DistinctCells`]), each benchmark's distinct
+/// cells are grouped into batches of up to `lanes` clock points (`None`:
+/// one cell per batch), one pool task per batch, and the outcomes fan
+/// back out to every plan cell — positional, so the result is
+/// bit-identical at any lane count and pool size.
 ///
 /// # Panics
 ///
@@ -436,38 +449,43 @@ pub fn run_yield_plan(
             .position(|p| p.name == cell.profile.name)
             .expect("cell profile in spec")
     };
-    // Group by benchmark, preserving plan order within a group, then chunk
-    // each group into lane batches. One batch = one pool task; scatter
-    // back to plan slots afterwards.
+    // Collapse the plan to one cell per simulated machine (dies whose
+    // effective points quantize alike share one), group the distinct cells
+    // by benchmark in plan order, then chunk each group into lane batches.
+    // One batch = one pool task; fan back out to plan slots afterwards.
+    let cells = plan.cells();
+    let distinct = DistinctCells::of(cells);
     let mut by_bench: Vec<Vec<usize>> = vec![Vec::new(); spec.profiles.len()];
-    for (i, cell) in plan.cells().iter().enumerate() {
-        by_bench[bench_index(cell)].push(i);
+    for (k, &i) in distinct.firsts().iter().enumerate() {
+        by_bench[bench_index(&cells[i])].push(k);
     }
     let tasks: Vec<(usize, Vec<usize>)> = by_bench
         .into_iter()
         .enumerate()
-        .flat_map(|(bi, slots)| {
-            slots
-                .chunks(lanes)
+        .flat_map(|(bi, ks)| {
+            ks.chunks(lanes)
                 .map(|chunk| (bi, chunk.to_vec()))
                 .collect::<Vec<_>>()
         })
         .collect();
-    let batches = pool.map(&tasks, |(bi, slots)| {
-        let group: Vec<CellSpec> = slots.iter().map(|&i| plan.cells()[i].clone()).collect();
+    let batches = pool.map(&tasks, |(bi, ks)| {
+        let group: Vec<CellSpec> = ks
+            .iter()
+            .map(|&k| cells[distinct.firsts()[k]].clone())
+            .collect();
         run_cell_group(&group, spec.structures, &arenas[*bi])
     });
-    let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-    grid.resize_with(plan.cells().len(), || None);
-    for ((_, slots), batch) in tasks.into_iter().zip(batches) {
-        for (slot, outcome) in slots.into_iter().zip(batch) {
-            grid[slot] = Some(outcome);
+    let mut unique: Vec<Option<BenchOutcome>> = vec![None; distinct.len()];
+    for ((_, ks), batch) in tasks.into_iter().zip(batches) {
+        for (k, outcome) in ks.into_iter().zip(batch) {
+            unique[k] = Some(outcome);
         }
     }
-    let outcomes = grid
+    let unique: Vec<BenchOutcome> = unique
         .into_iter()
-        .map(|o| o.expect("every cell filled"))
+        .map(|o| o.expect("every distinct cell filled"))
         .collect();
+    let outcomes = distinct.fan_out(&unique);
     plan.assemble(outcomes)
 }
 

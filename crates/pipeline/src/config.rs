@@ -3,6 +3,7 @@
 
 use fo4depth_uarch::cache::HierarchyConfig;
 use fo4depth_uarch::fu::{ExecLatencies, FuPoolConfig};
+use fo4depth_util::hash::Fnv64;
 
 /// Pipeline depths (in cycles) of the front-end regions and register read.
 ///
@@ -42,6 +43,20 @@ impl PipelineDepths {
     #[must_use]
     pub fn front_end(&self) -> u64 {
         self.fetch + self.decode + self.rename + self.issue
+    }
+
+    /// Absorbs every depth into `h` (part of [`CoreConfig::digest`]).
+    pub fn digest(&self, h: &mut Fnv64) {
+        let Self {
+            fetch,
+            decode,
+            rename,
+            issue,
+            regread,
+        } = *self;
+        for v in [fetch, decode, rename, issue, regread] {
+            h.write_u64(v);
+        }
     }
 }
 
@@ -89,6 +104,37 @@ impl PredictorConfig {
             global_entries: 4096,
         }
     }
+
+    /// Absorbs the organization and its geometry into `h` (part of
+    /// [`CoreConfig::digest`]).
+    pub fn digest(&self, h: &mut Fnv64) {
+        match *self {
+            PredictorConfig::Tournament {
+                local_sites,
+                local_history_bits,
+                global_entries,
+            } => {
+                h.write_str("tournament");
+                h.write_u64(local_sites as u64);
+                h.write_u64(u64::from(local_history_bits));
+                h.write_u64(global_entries as u64);
+            }
+            PredictorConfig::Bimodal { entries } => {
+                h.write_str("bimodal");
+                h.write_u64(entries as u64);
+            }
+            PredictorConfig::Gshare { entries } => {
+                h.write_str("gshare");
+                h.write_u64(entries as u64);
+            }
+            PredictorConfig::Perceptron { rows, history_bits } => {
+                h.write_str("perceptron");
+                h.write_u64(rows as u64);
+                h.write_u64(history_bits as u64);
+            }
+            PredictorConfig::AlwaysTaken => h.write_str("always_taken"),
+        }
+    }
 }
 
 /// Issue-window organization.
@@ -130,6 +176,36 @@ impl WindowConfig {
             WindowConfig::Conventional { capacity, .. }
             | WindowConfig::Segmented { capacity, .. }
             | WindowConfig::Speculative { capacity, .. } => *capacity,
+        }
+    }
+
+    /// Absorbs the organization and its parameters into `h` (part of
+    /// [`CoreConfig::digest`]).
+    pub fn digest(&self, h: &mut Fnv64) {
+        match self {
+            WindowConfig::Conventional { capacity, wakeup } => {
+                h.write_str("conventional");
+                h.write_u64(*capacity as u64);
+                h.write_u64(*wakeup);
+            }
+            WindowConfig::Segmented {
+                capacity,
+                stages,
+                select,
+            } => {
+                h.write_str("segmented");
+                h.write_u64(*capacity as u64);
+                h.write_u64(*stages as u64);
+                select.digest(h);
+            }
+            WindowConfig::Speculative {
+                capacity,
+                reschedule_penalty,
+            } => {
+                h.write_str("speculative");
+                h.write_u64(*capacity as u64);
+                h.write_u64(*reschedule_penalty);
+            }
         }
     }
 }
@@ -210,6 +286,49 @@ impl CoreConfig {
         }
     }
 
+    /// Absorbs every field into `h`: equal configurations digest equally,
+    /// and a change to any field (in any window or predictor variant)
+    /// changes the digest. Written out field by field — the destructuring
+    /// below stops compiling when a field is added without being hashed.
+    pub fn digest(&self, h: &mut Fnv64) {
+        let Self {
+            fetch_width,
+            dispatch_width,
+            commit_width,
+            fu,
+            exec,
+            depths,
+            window,
+            rob_capacity,
+            load_queue,
+            store_queue,
+            phys_regs,
+            hierarchy,
+            predictor,
+            btb_entries,
+            redirect_penalty,
+            taken_bubble,
+            cross_cluster_penalty,
+        } = self;
+        h.write_u64(u64::from(*fetch_width));
+        h.write_u64(u64::from(*dispatch_width));
+        h.write_u64(u64::from(*commit_width));
+        fu.digest(h);
+        exec.digest(h);
+        depths.digest(h);
+        window.digest(h);
+        h.write_u64(*rob_capacity as u64);
+        h.write_u64(*load_queue as u64);
+        h.write_u64(*store_queue as u64);
+        h.write_u64(u64::from(*phys_regs));
+        hierarchy.digest(h);
+        predictor.digest(h);
+        h.write_u64(*btb_entries as u64);
+        h.write_u64(*redirect_penalty);
+        h.write_u64(*taken_bubble);
+        h.write_u64(*cross_cluster_penalty);
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -260,6 +379,191 @@ mod tests {
         let mut c = CoreConfig::alpha_like();
         c.fetch_width = 0;
         assert!(c.validate().is_err());
+    }
+
+    fn digest_of(c: &CoreConfig) -> u64 {
+        let mut h = Fnv64::new();
+        c.digest(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn digest_changes_with_every_field_and_variant() {
+        use fo4depth_uarch::segmented::SelectMode;
+        type Edit = fn(&mut CoreConfig);
+        let segmented = |c: &mut CoreConfig| {
+            c.window = WindowConfig::Segmented {
+                capacity: 32,
+                stages: 4,
+                select: SelectMode::Ideal,
+            };
+        };
+        let speculative = |c: &mut CoreConfig| {
+            c.window = WindowConfig::Speculative {
+                capacity: 32,
+                reschedule_penalty: 2,
+            };
+        };
+        let edits: &[(&str, Edit)] = &[
+            ("fetch_width", |c| c.fetch_width += 1),
+            ("dispatch_width", |c| c.dispatch_width += 1),
+            ("commit_width", |c| c.commit_width += 1),
+            ("fu.int_units", |c| c.fu.int_units += 1),
+            ("fu.fp_units", |c| c.fu.fp_units += 1),
+            ("fu.mem_ports", |c| c.fu.mem_ports += 1),
+            ("fu.issue_width", |c| c.fu.issue_width += 1),
+            ("exec.int_alu", |c| c.exec.int_alu += 1),
+            ("exec.int_mult", |c| c.exec.int_mult += 1),
+            ("exec.fp_add", |c| c.exec.fp_add += 1),
+            ("exec.fp_mult", |c| c.exec.fp_mult += 1),
+            ("exec.fp_div", |c| c.exec.fp_div += 1),
+            ("exec.fp_sqrt", |c| c.exec.fp_sqrt += 1),
+            ("exec.agen", |c| c.exec.agen += 1),
+            ("depths.fetch", |c| c.depths.fetch += 1),
+            ("depths.decode", |c| c.depths.decode += 1),
+            ("depths.rename", |c| c.depths.rename += 1),
+            ("depths.issue", |c| c.depths.issue += 1),
+            ("depths.regread", |c| c.depths.regread += 1),
+            ("conventional.capacity", |c| {
+                c.window = WindowConfig::Conventional {
+                    capacity: 33,
+                    wakeup: 1,
+                };
+            }),
+            ("conventional.wakeup", |c| {
+                c.window = WindowConfig::Conventional {
+                    capacity: 32,
+                    wakeup: 2,
+                };
+            }),
+            ("segmented", segmented),
+            ("segmented.capacity", |c| {
+                c.window = WindowConfig::Segmented {
+                    capacity: 33,
+                    stages: 4,
+                    select: SelectMode::Ideal,
+                };
+            }),
+            ("segmented.stages", |c| {
+                c.window = WindowConfig::Segmented {
+                    capacity: 32,
+                    stages: 3,
+                    select: SelectMode::Ideal,
+                };
+            }),
+            ("segmented.preselect", |c| {
+                c.window = WindowConfig::Segmented {
+                    capacity: 32,
+                    stages: 4,
+                    select: SelectMode::figure12(),
+                };
+            }),
+            ("segmented.preselect.quotas", |c| {
+                c.window = WindowConfig::Segmented {
+                    capacity: 32,
+                    stages: 4,
+                    select: SelectMode::PreSelect { quotas: vec![5, 2] },
+                };
+            }),
+            ("speculative", speculative),
+            ("speculative.capacity", |c| {
+                c.window = WindowConfig::Speculative {
+                    capacity: 33,
+                    reschedule_penalty: 2,
+                };
+            }),
+            ("speculative.reschedule_penalty", |c| {
+                c.window = WindowConfig::Speculative {
+                    capacity: 32,
+                    reschedule_penalty: 3,
+                };
+            }),
+            ("rob_capacity", |c| c.rob_capacity += 1),
+            ("load_queue", |c| c.load_queue += 1),
+            ("store_queue", |c| c.store_queue += 1),
+            ("phys_regs", |c| c.phys_regs += 1),
+            ("hierarchy.l1_capacity", |c| c.hierarchy.l1_capacity *= 2),
+            ("hierarchy.l1_ways", |c| c.hierarchy.l1_ways += 1),
+            ("hierarchy.l2_capacity", |c| c.hierarchy.l2_capacity *= 2),
+            ("hierarchy.l2_ways", |c| c.hierarchy.l2_ways += 1),
+            ("hierarchy.line", |c| c.hierarchy.line *= 2),
+            ("hierarchy.l1_latency", |c| c.hierarchy.l1_latency += 1),
+            ("hierarchy.l2_latency", |c| c.hierarchy.l2_latency += 1),
+            ("hierarchy.memory_latency", |c| {
+                c.hierarchy.memory_latency += 1;
+            }),
+            ("hierarchy.mshr_limit", |c| c.hierarchy.mshr_limit += 1),
+            ("tournament.local_sites", |c| {
+                c.predictor = PredictorConfig::Tournament {
+                    local_sites: 2048,
+                    local_history_bits: 10,
+                    global_entries: 4096,
+                };
+            }),
+            ("tournament.local_history_bits", |c| {
+                c.predictor = PredictorConfig::Tournament {
+                    local_sites: 1024,
+                    local_history_bits: 11,
+                    global_entries: 4096,
+                };
+            }),
+            ("tournament.global_entries", |c| {
+                c.predictor = PredictorConfig::Tournament {
+                    local_sites: 1024,
+                    local_history_bits: 10,
+                    global_entries: 8192,
+                };
+            }),
+            ("bimodal", |c| {
+                c.predictor = PredictorConfig::Bimodal { entries: 4096 };
+            }),
+            ("bimodal.entries", |c| {
+                c.predictor = PredictorConfig::Bimodal { entries: 8192 };
+            }),
+            ("gshare", |c| {
+                c.predictor = PredictorConfig::Gshare { entries: 4096 };
+            }),
+            ("gshare.entries", |c| {
+                c.predictor = PredictorConfig::Gshare { entries: 8192 };
+            }),
+            ("perceptron", |c| {
+                c.predictor = PredictorConfig::Perceptron {
+                    rows: 256,
+                    history_bits: 24,
+                };
+            }),
+            ("perceptron.rows", |c| {
+                c.predictor = PredictorConfig::Perceptron {
+                    rows: 512,
+                    history_bits: 24,
+                };
+            }),
+            ("perceptron.history_bits", |c| {
+                c.predictor = PredictorConfig::Perceptron {
+                    rows: 256,
+                    history_bits: 25,
+                };
+            }),
+            ("always_taken", |c| {
+                c.predictor = PredictorConfig::AlwaysTaken
+            }),
+            ("btb_entries", |c| c.btb_entries += 1),
+            ("redirect_penalty", |c| c.redirect_penalty += 1),
+            ("taken_bubble", |c| c.taken_bubble += 1),
+            ("cross_cluster_penalty", |c| c.cross_cluster_penalty += 1),
+        ];
+        let base = CoreConfig::alpha_like();
+        assert_eq!(digest_of(&base), digest_of(&base.clone()), "stable");
+        let mut seen = std::collections::HashMap::new();
+        seen.insert(digest_of(&base), "base");
+        for &(name, edit) in edits {
+            let mut c = base.clone();
+            edit(&mut c);
+            assert_ne!(c, base, "{name}: the edit must change the config");
+            if let Some(prev) = seen.insert(digest_of(&c), name) {
+                panic!("{name} digests like {prev}");
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!
 //! * **responses** — rendered JSON bodies keyed by request fingerprint
 //!   (repeat requests cost a hash lookup);
-//! * **cells** — one `(core × benchmark × clock point)` simulation
-//!   outcome per entry ([`CellSpec`] fingerprints), so partially
-//!   overlapping sweeps reuse each other's work;
+//! * **cells** — one simulation outcome per `(core × benchmark ×
+//!   scaled machine)` entry ([`CellSpec`] fingerprints address the
+//!   quantized core config, not the clock point), so partially
+//!   overlapping sweeps — and clock points that scale to the same
+//!   machine — reuse each other's work;
 //! * **arenas** — materialized benchmark traces keyed by
 //!   `(benchmark, seed, length)`, shared across every cell that replays
 //!   the same stream.
@@ -25,7 +27,7 @@ use std::sync::Arc;
 
 use fo4depth_fo4::Fo4;
 use fo4depth_study::adaptive::{AdaptiveConfig, AdaptivePlanner};
-use fo4depth_study::cells::{assemble_sweep, sweep_cells, CellSpec};
+use fo4depth_study::cells::{assemble_sweep, sweep_cells, CellSpec, DistinctCells};
 use fo4depth_study::latency::StructureSet;
 use fo4depth_study::report;
 use fo4depth_study::sim::{summarize, BenchOutcome, SimParams};
@@ -650,6 +652,27 @@ impl RunRequest {
         })
     }
 
+    /// The request's content address: a stable digest of its canonical
+    /// form. It keys the rendered body, which reports this request's own
+    /// `t_useful` and clock period — so unlike the cell fingerprint it
+    /// separates two points that scale to the same machine, and a repeat
+    /// resolves without scaling a machine.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_str("run");
+        h.write_str(core_key(self.core));
+        h.write_str(&self.profile.name);
+        h.write_f64(self.t_useful.get());
+        h.write_u64(self.params.warmup);
+        h.write_u64(self.params.measure);
+        h.write_u64(self.params.seed);
+        h.write_f64(self.overhead.get());
+        h.write_u64(u64::from(self.observed));
+        h.write_str(STRUCTURES_TAG);
+        h.finish()
+    }
+
     /// The single cell this request resolves to.
     #[must_use]
     pub fn cell(&self) -> CellSpec {
@@ -1178,7 +1201,8 @@ pub struct Engine {
     structures: StructureSet,
     /// Rendered response bodies by request fingerprint.
     pub responses: Cache<Arc<String>>,
-    /// Per-`(core × benchmark × point)` outcomes by cell fingerprint.
+    /// Per-`(core × benchmark × scaled machine)` outcomes by cell
+    /// fingerprint.
     pub cells: Cache<Arc<BenchOutcome>>,
     /// Materialized traces by `(benchmark, seed, length)`.
     pub arenas: Cache<Arc<TraceArena>>,
@@ -1323,28 +1347,24 @@ impl Engine {
         )
     }
 
-    /// Installs one already-computed outcome by fingerprint — the
-    /// `POST /v1/records` replica-warming path, where a peer router
-    /// pushes records this shard did not simulate. The record's CRC was
-    /// verified at decode; fingerprints are the same content addresses
-    /// the cache tiers key on, so a pushed record is indistinguishable
-    /// from a locally simulated one (outcomes are deterministic
-    /// functions of their fingerprint).
-    pub fn install_record(&self, fingerprint: u64, core: Option<CoreKind>, outcome: BenchOutcome) {
+    /// Installs one already-computed outcome by fingerprint into the
+    /// cache tiers (write-behind into the persistent store, insert into
+    /// the LRU). Locally simulated and shard-fetched outcomes land here,
+    /// and so do the `POST /v1/records` replica-warming pushes, where a
+    /// peer router sends records this shard did not simulate. A pushed
+    /// record's CRC was verified at decode; fingerprints are the same
+    /// content addresses the cache tiers key on, so it is
+    /// indistinguishable from a locally simulated one (outcomes are
+    /// deterministic functions of their fingerprint).
+    pub fn install_record(
+        &self,
+        fingerprint: u64,
+        core: Option<CoreKind>,
+        outcome: BenchOutcome,
+    ) -> Arc<BenchOutcome> {
         let out = Arc::new(outcome);
         if let Some(store) = &self.store {
             store.put_tagged(fingerprint, core, &out);
-        }
-        self.cells.insert(fingerprint, out);
-    }
-
-    /// Installs one resolved outcome into the cache tiers (write-behind
-    /// into the persistent store, insert into the LRU).
-    fn install(&self, cell: &CellSpec, outcome: BenchOutcome) -> Arc<BenchOutcome> {
-        let fingerprint = cell.fingerprint();
-        let out = Arc::new(outcome);
-        if let Some(store) = &self.store {
-            store.put_tagged(fingerprint, Some(cell.core), &out);
         }
         self.cells.insert(fingerprint, Arc::clone(&out));
         out
@@ -1353,6 +1373,11 @@ impl Engine {
     /// Resolves every cell through the cache tiers, simulating only the
     /// cold remainder, and returns the outcomes positionally.
     ///
+    /// Cells are first collapsed to one per fingerprint
+    /// ([`DistinctCells`]): cells whose clock points scale to the same
+    /// machine are one cache entry, one scatter, and one simulation, and
+    /// their outcome fans back out to every position.
+    ///
     /// In router mode the cold remainder scatters to the shard tier
     /// first — each cell to the shard that owns its fingerprint — and
     /// only cells the tier could not resolve (every responsible shard
@@ -1360,12 +1385,14 @@ impl Engine {
     /// a routed sweep degrades to single-node behaviour rather than
     /// failing.
     pub fn fill_cells(&self, cells: &[CellSpec]) -> Vec<BenchOutcome> {
+        let distinct = DistinctCells::of(cells);
+        let reps: Vec<&CellSpec> = distinct.firsts().iter().map(|&i| &cells[i]).collect();
         // Probe pass: LRU first (counting the hit/miss), then the
         // persistent tier, mirroring `outcome`'s tiering.
-        let mut outcomes: Vec<Option<Arc<BenchOutcome>>> = cells
+        let mut outcomes: Vec<Option<Arc<BenchOutcome>>> = distinct
+            .fingerprints()
             .iter()
-            .map(|cell| {
-                let fingerprint = cell.fingerprint();
+            .map(|&fingerprint| {
                 self.cells.get(fingerprint).or_else(|| {
                     let loaded = self.store.as_ref()?.load(fingerprint).map(Arc::new)?;
                     self.cells.insert(fingerprint, Arc::clone(&loaded));
@@ -1374,20 +1401,23 @@ impl Engine {
             })
             .collect();
         if let Some(upstream) = &self.upstream {
-            let cold: Vec<usize> = (0..cells.len())
-                .filter(|&i| outcomes[i].is_none())
-                .collect();
+            let cold: Vec<usize> = (0..reps.len()).filter(|&k| outcomes[k].is_none()).collect();
             if !cold.is_empty() {
-                let specs: Vec<CellSpec> = cold.iter().map(|&i| cells[i].clone()).collect();
-                for (&i, fetched) in cold.iter().zip(upstream.fetch(&specs)) {
+                let specs: Vec<CellSpec> = cold.iter().map(|&k| reps[k].clone()).collect();
+                for (&k, fetched) in cold.iter().zip(upstream.fetch(&specs)) {
                     if let Some(out) = fetched {
-                        outcomes[i] = Some(self.install(&cells[i], out));
+                        outcomes[k] = Some(self.install_record(
+                            distinct.fingerprints()[k],
+                            Some(reps[k].core),
+                            out,
+                        ));
                     }
                 }
             }
         }
-        self.fill_local(cells, &mut outcomes);
-        outcomes
+        self.fill_local(&reps, distinct.fingerprints(), &mut outcomes);
+        distinct
+            .fan_out(&outcomes)
             .into_iter()
             .map(|o| (*o.expect("every cell probed, fetched, or batch-filled")).clone())
             .collect()
@@ -1395,8 +1425,14 @@ impl Engine {
 
     /// Simulates every still-unresolved cell locally, one
     /// [`fo4depth_study::cells::run_cell_group`] per benchmark, filling
-    /// `outcomes` in place.
-    fn fill_local(&self, cells: &[CellSpec], outcomes: &mut [Option<Arc<BenchOutcome>>]) {
+    /// `outcomes` in place. `cells` are distinct (one per fingerprint,
+    /// parallel to `fingerprints`), so no machine simulates twice.
+    fn fill_local(
+        &self,
+        cells: &[&CellSpec],
+        fingerprints: &[u64],
+        outcomes: &mut [Option<Arc<BenchOutcome>>],
+    ) {
         // Group the cold cells by benchmark: cells of one benchmark share
         // an arena and a fetch plan, so each group is one candidate lane
         // batch (and one pool task — results are positional, hence
@@ -1424,7 +1460,7 @@ impl Engine {
         });
         for (idxs, outs) in groups.iter().zip(filled) {
             for (&i, out) in idxs.iter().zip(outs) {
-                outcomes[i] = Some(self.install(&cells[i], out));
+                outcomes[i] = Some(self.install_record(fingerprints[i], Some(cells[i].core), out));
             }
         }
     }
@@ -1609,12 +1645,8 @@ impl Engine {
 
     /// `POST /v1/run` — one benchmark at one clock point.
     pub fn run(&self, req: &RunRequest) -> Arc<String> {
-        let cell = req.cell();
-        let mut h = Fnv64::new();
-        h.write_str("run");
-        h.write_u64(cell.fingerprint());
-        self.responses.get_or_compute(h.finish(), || {
-            let outcome = self.outcome(&cell);
+        self.responses.get_or_compute(req.fingerprint(), || {
+            let outcome = self.outcome(&req.cell());
             let machine = fo4depth_study::scaler::ScaledMachine::at(
                 &self.structures,
                 req.t_useful,
@@ -2121,11 +2153,26 @@ mod tests {
         let doc = Json::parse(&buffered).expect("assembled body parses");
         assert_eq!(doc.pretty(), buffered, "fragments == canonical pretty");
 
+        // Dies whose effective points scale to an already-seen machine
+        // (the nominal one or another die's) share its cell.
+        let structures = StructureSet::alpha_21264();
+        let spec = SweepSpec {
+            core: req.core,
+            profiles: &req.profiles,
+            params: &req.params,
+            structures: &structures,
+            overhead: req.overhead,
+            points: &req.points,
+            observed: false,
+        };
+        let plan = YieldPlan::build(spec, req.variation, fo4depth_exec::global()).unwrap();
+        assert_eq!(plan.cells().len(), 2 + 2 * 4);
+        let machines = DistinctCells::of(plan.cells()).len() as u64;
         let s = engine.cells.stats();
         assert_eq!(
             s.misses - nominal_misses,
-            2 * 4,
-            "only the per-die cells simulated"
+            machines - 2,
+            "only the per-die machines simulated"
         );
         assert!(s.hits >= 2, "nominal cells came from the shared tier");
         assert_eq!(engine.yields.sweeps.load(Ordering::Relaxed), 2);

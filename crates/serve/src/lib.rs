@@ -68,7 +68,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Response-cache capacity (rendered bodies).
     pub response_entries: usize,
-    /// Cell-cache capacity (per-`(core × benchmark × point)` outcomes).
+    /// Cell-cache capacity (per-`(core × benchmark × scaled machine)`
+    /// outcomes).
     pub cell_entries: usize,
     /// Arena-cache capacity (materialized traces).
     pub arena_entries: usize,

@@ -482,6 +482,11 @@ impl Upstream {
     /// occupy simulation lanes — and gathered outcomes return
     /// positionally: `None` where every responsible shard failed past
     /// the retry budget, which the caller resolves locally.
+    ///
+    /// The engine hands this one cell per fingerprint
+    /// ([`DistinctCells`](fo4depth_study::cells::DistinctCells)), so each
+    /// simulated machine crosses the wire once; a duplicate would still
+    /// place correctly, since records place by fingerprint.
     #[must_use]
     pub fn fetch(&self, cells: &[CellSpec]) -> Vec<Option<BenchOutcome>> {
         let snapshot = self.snapshot();

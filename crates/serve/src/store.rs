@@ -1,5 +1,5 @@
 //! Crash-safe persistent cell cache: an append-only, content-addressed,
-//! checksummed log of `(core × benchmark × clock point)` outcomes.
+//! checksummed log of `(core × benchmark × scaled machine)` outcomes.
 //!
 //! The in-memory cell LRU ([`crate::cache`]) dies with the process; this
 //! store is the tier under it, so a daemon restart — or a fresh CI run

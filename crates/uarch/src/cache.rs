@@ -6,6 +6,8 @@
 //! hierarchy can run with caches disabled so that every reference pays the
 //! flat memory latency.
 
+use fo4depth_util::hash::Fnv64;
+
 /// Hit/miss counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -189,6 +191,35 @@ impl HierarchyConfig {
             // memory banking sustained one access per cycle, so in-flight
             // parallelism is not the bottleneck we model here.
             mshr_limit: 0,
+        }
+    }
+
+    /// Absorbs every field into `h` (part of a core configuration's
+    /// content address).
+    pub fn digest(&self, h: &mut Fnv64) {
+        let Self {
+            l1_capacity,
+            l1_ways,
+            l2_capacity,
+            l2_ways,
+            line,
+            l1_latency,
+            l2_latency,
+            memory_latency,
+            mshr_limit,
+        } = *self;
+        for v in [
+            l1_capacity,
+            l1_ways as u64,
+            l2_capacity,
+            l2_ways as u64,
+            line,
+            l1_latency,
+            l2_latency,
+            memory_latency,
+            mshr_limit as u64,
+        ] {
+            h.write_u64(v);
         }
     }
 }

@@ -6,6 +6,7 @@
 //! cycle*, never occupancy.
 
 use fo4depth_isa::OpClass;
+use fo4depth_util::hash::Fnv64;
 
 use crate::window::{IssueBudget, IssuePort};
 
@@ -70,6 +71,20 @@ impl FuPoolConfig {
             issue_width: 6,
         }
     }
+
+    /// Absorbs every field into `h` (part of a core configuration's
+    /// content address).
+    pub fn digest(&self, h: &mut Fnv64) {
+        let Self {
+            int_units,
+            fp_units,
+            mem_ports,
+            issue_width,
+        } = *self;
+        for v in [int_units, fp_units, mem_ports, issue_width] {
+            h.write_u64(u64::from(v));
+        }
+    }
 }
 
 /// Execution latencies per class, in cycles at the current clock.
@@ -103,6 +118,23 @@ impl ExecLatencies {
             fp_div: 12,
             fp_sqrt: 18,
             agen: 1,
+        }
+    }
+
+    /// Absorbs every field into `h` (part of a core configuration's
+    /// content address).
+    pub fn digest(&self, h: &mut Fnv64) {
+        let Self {
+            int_alu,
+            int_mult,
+            fp_add,
+            fp_mult,
+            fp_div,
+            fp_sqrt,
+            agen,
+        } = *self;
+        for v in [int_alu, int_mult, fp_add, fp_mult, fp_div, fp_sqrt, agen] {
+            h.write_u64(v);
         }
     }
 

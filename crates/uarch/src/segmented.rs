@@ -22,6 +22,8 @@
 //! therefore issue one cycle later than stage-0 instructions — the cost
 //! the paper measures at −4 % integer / −1 % FP IPC.
 
+use fo4depth_util::hash::Fnv64;
+
 use crate::window::{IssueBudget, WindowEntry, WindowModel};
 
 /// How selection treats entries outside the first stage.
@@ -48,6 +50,21 @@ impl SelectMode {
     pub fn figure12() -> Self {
         SelectMode::PreSelect {
             quotas: vec![5, 2, 1],
+        }
+    }
+
+    /// Absorbs the mode and its quotas into `h` (part of a core
+    /// configuration's content address).
+    pub fn digest(&self, h: &mut Fnv64) {
+        match self {
+            SelectMode::Ideal => h.write_str("ideal"),
+            SelectMode::PreSelect { quotas } => {
+                h.write_str("preselect");
+                h.write_u64(quotas.len() as u64);
+                for &q in quotas {
+                    h.write_u64(u64::from(q));
+                }
+            }
         }
     }
 }

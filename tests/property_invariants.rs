@@ -3,6 +3,11 @@
 
 use fo4depth::isa::{ArchReg, Instruction, Opcode};
 use fo4depth::pipeline::{CoreConfig, InOrderCore, OutOfOrderCore};
+use fo4depth::study::cells::CellSpec;
+use fo4depth::study::latency::StructureSet;
+use fo4depth::study::scaler::ScaledMachine;
+use fo4depth::study::sim::SimParams;
+use fo4depth::study::sweep::CoreKind;
 use fo4depth::uarch::cache::Cache;
 use fo4depth::uarch::rob::ReorderBuffer;
 use fo4depth::uarch::segmented::{SegmentedWindow, SelectMode};
@@ -142,6 +147,48 @@ proptest! {
                 prop_assert!(inst.branch.is_some());
             }
         }
+    }
+}
+
+/// An out-of-order gzip cell at one clock point and overhead.
+fn gzip_cell(t_useful: f64, overhead: f64) -> CellSpec {
+    CellSpec {
+        core: CoreKind::OutOfOrder,
+        profile: profiles::by_name("164.gzip").expect("known benchmark"),
+        t_useful: Fo4::new(t_useful),
+        overhead: Fo4::new(overhead),
+        params: SimParams {
+            warmup: 1_000,
+            measure: 3_000,
+            seed: 1,
+        },
+        observed: false,
+        structures_tag: "alpha_21264",
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A cell's fingerprint addresses the machine its clock point scales
+    /// to: two points (at any overheads) share a fingerprint exactly when
+    /// their scaled configs are equal. Half the pairs are near neighbours,
+    /// so both sides of the equivalence are exercised.
+    #[test]
+    fn fingerprints_match_exactly_when_machines_match(
+        t1 in 0.5f64..99.0,
+        far in 0.5f64..99.0,
+        near in any::<bool>(),
+        nudge in -0.05f64..0.05,
+        o1 in 0.0f64..20.0,
+        o2 in 0.0f64..20.0,
+    ) {
+        let t2 = if near { (t1 + nudge).clamp(0.5, 99.0) } else { far };
+        let structures = StructureSet::alpha_21264();
+        let same_machine = ScaledMachine::at(&structures, Fo4::new(t1), Fo4::new(o1)).config
+            == ScaledMachine::at(&structures, Fo4::new(t2), Fo4::new(o2)).config;
+        let same_fingerprint = gzip_cell(t1, o1).fingerprint() == gzip_cell(t2, o2).fingerprint();
+        prop_assert_eq!(same_fingerprint, same_machine, "t {} / {}, overhead {} / {}", t1, t2, o1, o2);
     }
 }
 

@@ -430,6 +430,85 @@ fn run_and_sweep_endpoints_answer() {
     assert!(doc.get("optima").and_then(|o| o.get("all")).is_some());
 }
 
+/// Two `/v1/run` points that scale to the same machine (11.75 and 11.9
+/// FO4 quantize every latency alike) share one cell but not one body: the
+/// second request is a cell-tier hit that builds no arena, and its body
+/// still reports its own `t_useful` and clock period.
+#[test]
+fn runs_at_points_with_one_machine_share_the_cell_not_the_body() {
+    let server = start(ServeConfig::default());
+    let body = |t: &str| {
+        format!(r#"{{"benchmark":"164.gzip","t_useful":{t},"warmup":500,"measure":2000}}"#)
+    };
+    let first = post(server.addr, "/v1/run", &body("11.75"));
+    let second = post(server.addr, "/v1/run", &body("11.9"));
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(second.status, 200, "body: {}", second.body);
+
+    let (a, b) = (first.json(), second.json());
+    let num = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64).expect("number");
+    assert_eq!(num(&a, "t_useful"), 11.75);
+    assert_eq!(num(&b, "t_useful"), 11.9);
+    assert!(
+        num(&a, "period_ps") < num(&b, "period_ps"),
+        "each body is priced at its own clock"
+    );
+    let cycles = |doc: &Json| {
+        doc.get("benchmark")
+            .and_then(|b| b.get("cycles"))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(cycles(&a), cycles(&b), "one simulated machine");
+
+    let m = metrics(server.addr);
+    assert_eq!(counter(&m, &["caches", "responses", "misses"]), 2);
+    assert_eq!(counter(&m, &["caches", "cells", "misses"]), 1);
+    assert_eq!(
+        counter(&m, &["caches", "cells", "hits"]),
+        1,
+        "the second point reuses the first point's cell"
+    );
+    assert_eq!(
+        counter(&m, &["caches", "arenas", "misses"]),
+        1,
+        "only the first run built an arena"
+    );
+    assert_eq!(
+        counter(&m, &["caches", "arenas", "hits"]),
+        0,
+        "the cell-tier hit never touched the arena tier"
+    );
+}
+
+/// A `/v1/sweep` over points that scale to one machine simulates that
+/// machine once: four points, two machines, two cell misses — and the
+/// document still lists all four points.
+#[test]
+fn sweep_simulates_once_per_machine() {
+    let server = start(ServeConfig::default());
+    let sweep = post(
+        server.addr,
+        "/v1/sweep",
+        r#"{"benchmarks":["164.gzip"],"points":[11.75,6,11.8,11.9],"warmup":500,"measure":2000}"#,
+    );
+    assert_eq!(sweep.status, 200, "body: {}", sweep.body);
+    assert_eq!(
+        sweep
+            .json()
+            .get("points")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
+        Some(4)
+    );
+    let m = metrics(server.addr);
+    assert_eq!(
+        counter(&m, &["caches", "cells", "misses"]),
+        2,
+        "one simulation per machine"
+    );
+    assert_eq!(counter(&m, &["caches", "cells", "hits"]), 0);
+}
+
 #[test]
 fn malformed_requests_get_structured_errors() {
     let server = start(ServeConfig {

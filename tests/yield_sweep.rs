@@ -8,12 +8,16 @@
 
 mod common;
 
+use std::collections::HashSet;
+
 use common::{
     counter, metrics, post, restart_on_cache_dir, start, start_with_cache_dir, wait_for_counter,
     StreamingClient, TestServer,
 };
 use fo4depth::exec::Pool;
+use fo4depth::serve::api::{RequestLimits, YieldRequest};
 use fo4depth::serve::ServeConfig;
+use fo4depth::study::cells::CellSpec;
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::sim::SimParams;
 use fo4depth::study::sweep::{build_arenas, standard_points, CoreKind, SweepSpec, MIN_BATCH_LANES};
@@ -269,8 +273,64 @@ fn yield_sweep_reproduces_the_golden_digests() {
 const YIELD_BODY: &str = r#"{"benchmarks":["164.gzip","181.mcf"],"points":[4.0,6.0,9.0],
     "warmup":400,"measure":1500,"seed":11,"samples":12,"variation_seed":7}"#;
 
-/// Cells a `YIELD_BODY` sweep simulates: nominal grid plus dies.
-const YIELD_CELLS: u64 = (3 * 2) + (3 * 12 * 2);
+/// Distinct cell fingerprints in a plan — the cells a sweep simulates,
+/// one per simulated machine (dies whose effective points quantize alike
+/// share one). Counted without simulating.
+fn distinct_fingerprints(plan: &YieldPlan<'_>) -> u64 {
+    let unique: HashSet<u64> = plan.cells().iter().map(CellSpec::fingerprint).collect();
+    unique.len() as u64
+}
+
+/// Cells a `YIELD_BODY` sweep simulates: the distinct fingerprints of its
+/// plan (nominal grid plus dies), built exactly as the daemon builds it.
+fn yield_body_cells() -> u64 {
+    let doc = Json::parse(YIELD_BODY).expect("YIELD_BODY is JSON");
+    let req = YieldRequest::from_json(&doc, &RequestLimits::default()).expect("valid request");
+    let structures = StructureSet::alpha_21264();
+    let spec = SweepSpec {
+        core: req.core,
+        profiles: &req.profiles,
+        params: &req.params,
+        structures: &structures,
+        overhead: req.overhead,
+        points: &req.points,
+        observed: false,
+    };
+    let plan = YieldPlan::build(spec, req.variation, fo4depth::exec::global()).expect("valid");
+    assert_eq!(plan.cells().len(), (3 * 2) + (3 * 12 * 2), "plan shape");
+    distinct_fingerprints(&plan)
+}
+
+/// The standard-grid plan behind a many-die Monte Carlo collapses to the
+/// machines it actually simulates: OOO core, all 18 profiles, 24 dies of
+/// `VariationSpec::new(1)` — 6 750 plan cells, 2 268 distinct
+/// fingerprints. Counted, not simulated.
+#[test]
+fn standard_grid_yield_plan_has_one_cell_per_machine() {
+    let profs = profiles::all();
+    let params = SimParams {
+        warmup: 2_000,
+        measure: 8_000,
+        seed: 1,
+    };
+    let structures = StructureSet::alpha_21264();
+    let points = standard_points();
+    let spec = SweepSpec {
+        core: CoreKind::OutOfOrder,
+        profiles: &profs,
+        params: &params,
+        structures: &structures,
+        overhead: Fo4::new(1.8),
+        points: &points,
+        observed: false,
+    };
+    let mut variation = VariationSpec::new(1);
+    variation.samples = 24;
+    let plan = YieldPlan::build(spec, variation, fo4depth::exec::global()).expect("valid");
+    assert_eq!(profs.len(), 18);
+    assert_eq!(plan.cells().len(), 6_750);
+    assert_eq!(distinct_fingerprints(&plan), 2_268);
+}
 
 #[test]
 fn routed_yield_is_byte_identical_to_single_node_and_streams_the_same_bytes() {
@@ -329,13 +389,14 @@ fn routed_yield_is_byte_identical_to_single_node_and_streams_the_same_bytes() {
 /// store and a restarted daemon replays them instead of resimulating.
 #[test]
 fn yield_samples_survive_a_restart_through_the_cell_store() {
+    let yield_cells = yield_body_cells();
     let mut first = start_with_cache_dir(ServeConfig::default());
     let cold = post(first.addr, "/v1/yield", YIELD_BODY);
     assert_eq!(cold.status, 200, "body: {}", cold.body);
     wait_for_counter(
         first.addr,
         &["caches", "persistent", "appended"],
-        YIELD_CELLS,
+        yield_cells,
     );
     let dir = first.take_cache_dir();
     drop(first);
@@ -347,12 +408,12 @@ fn yield_samples_survive_a_restart_through_the_cell_store() {
     let m = metrics(warm.addr);
     assert_eq!(
         counter(&m, &["caches", "persistent", "hits"]),
-        YIELD_CELLS,
-        "every cell (nominal and per-die) replayed from the store"
+        yield_cells,
+        "every distinct cell (nominal and per-die) replayed from the store"
     );
     assert_eq!(
         counter(&m, &["caches", "persistent", "recovered_entries"]),
-        YIELD_CELLS
+        yield_cells
     );
 }
 
