@@ -46,6 +46,10 @@
 //! * **Reads re-verify.** Every load re-checks the record CRC and
 //!   re-decodes the payload; bit rot yields a cache miss (and a counter),
 //!   never a corrupt response.
+//! * **Reads never wait on the disk's write side.** A load is a
+//!   positioned read of an indexed (hence fully written) record and takes
+//!   no lock the persister holds, so a request thread never queues behind
+//!   an append, an fsync, or a sidecar snapshot.
 //! * **`--fsync always|batch|off`** trades durability for append latency:
 //!   per-record `fdatasync`, batched sync (on queue drain or every
 //!   [`BATCH_FSYNC_EVERY`] records), or none.
@@ -679,6 +683,10 @@ struct Inner {
     idx_path: PathBuf,
     log_id: u64,
     log: Mutex<LogState>,
+    /// A second handle on the log for [`CellStore::load`]'s positioned
+    /// reads, outside the `log` lock the persister holds across appends,
+    /// fsyncs and sidecar snapshots.
+    reader: File,
     index: Mutex<HashMap<u64, Slot>>,
     queue: Mutex<Queue>,
     queue_cv: Condvar,
@@ -890,9 +898,11 @@ impl CellStore {
         }
 
         let recovered_entries = index.len() as u64;
+        let reader = file.try_clone()?;
         let inner = Arc::new(Inner {
             idx_path,
             log_id,
+            reader,
             log: Mutex::new(LogState {
                 file,
                 len,
@@ -971,23 +981,24 @@ impl CellStore {
         }
     }
 
-    /// Positioned read that does not disturb the append cursor: the log
-    /// lock is taken briefly, so loads and appends interleave safely.
+    /// Positioned read that does not disturb the append cursor and takes
+    /// no lock. The slot came from the index, which records an append
+    /// only once its bytes are written, and nothing shortens the log
+    /// below an indexed record while the store is open.
+    #[cfg(unix)]
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        let mut log = self.inner.log.lock().expect("log lock");
-        if offset + buf.len() as u64 > log.len {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "slot past committed length",
-            ));
-        }
-        let pos = log.file.stream_position()?;
-        let result = log
-            .file
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| log.file.read_exact(buf));
-        log.file.seek(SeekFrom::Start(pos))?;
-        result
+        use std::os::unix::fs::FileExt as _;
+        self.inner.reader.read_exact_at(buf, offset)
+    }
+
+    /// Off unix a positioned read moves the shared cursor, so it runs
+    /// under the log lock the appends hold.
+    #[cfg(not(unix))]
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let _log = self.inner.log.lock().expect("log lock");
+        let mut reader = &self.inner.reader;
+        reader.seek(SeekFrom::Start(offset))?;
+        reader.read_exact(buf)
     }
 
     /// Queues one outcome for persistence (write-behind). A full queue
@@ -1599,6 +1610,31 @@ mod tests {
         assert!(store.load(30).is_none());
         let s = store.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn loads_do_not_wait_for_the_log_lock() {
+        // The persister holds the log lock across appends, fsyncs and
+        // sidecar snapshots; a request thread's load must not queue
+        // behind any of them.
+        let dir = TempDir::new("fo4depth-store").expect("temp dir");
+        let a = sample_outcome(1, true);
+        let store = open_store(dir.path());
+        store.put(10, &a);
+        store.flush();
+        let held = store.inner.log.lock().expect("log lock");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let loaded = std::thread::scope(|scope| {
+            let store = &store;
+            scope.spawn(move || {
+                let _ = tx.send(store.load(10));
+            });
+            let loaded = rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(held);
+            loaded
+        });
+        assert_eq!(loaded.expect("load finished under the log lock"), Some(a));
     }
 
     #[test]
