@@ -53,7 +53,7 @@ use http::{
 };
 use metrics::{cache_json, store_json, sweeps_json, yields_json, Endpoint, RequestMetrics};
 use router::{Upstream, UpstreamConfig};
-use store::{CellStore, FsyncPolicy, NoFault, StoreConfig};
+use store::{CellStore, NoFault, StoreConfig};
 
 /// Everything configurable about one daemon instance.
 #[derive(Debug, Clone)]
@@ -85,8 +85,6 @@ pub struct ServeConfig {
     /// Directory for the persistent cell cache; `None` serves from
     /// memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Durability policy for persistent-cache appends.
-    pub fsync: FsyncPolicy,
     /// Shard addresses (`host:port`). Empty means single-node serving;
     /// non-empty turns this instance into a router (`fo4depth route`)
     /// that scatters cold cells to the owning shards.
@@ -109,7 +107,6 @@ impl Default for ServeConfig {
             request_deadline: Duration::from_secs(30),
             limits: RequestLimits::default(),
             cache_dir: None,
-            fsync: FsyncPolicy::default(),
             shards: Vec::new(),
             upstream: UpstreamConfig::default(),
         }
@@ -414,11 +411,10 @@ impl Server {
 /// Genuine store-environment failures (unreachable cache directory).
 pub fn build_engine(config: &ServeConfig) -> io::Result<Engine> {
     let cell_store = match &config.cache_dir {
-        Some(dir) => {
-            let mut store_config = StoreConfig::new(dir);
-            store_config.fsync = config.fsync;
-            Some(Arc::new(CellStore::open(store_config, Arc::new(NoFault))?))
-        }
+        Some(dir) => Some(Arc::new(CellStore::open(
+            StoreConfig::new(dir),
+            Arc::new(NoFault),
+        )?)),
         None => None,
     };
     let mut engine = Engine::with_store(

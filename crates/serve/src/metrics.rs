@@ -262,8 +262,6 @@ pub fn store_json(stats: &crate::store::StoreStats) -> Json {
         ("shed", Json::uint(stats.shed)),
         ("fsyncs", Json::uint(stats.fsyncs)),
         ("fsync_errors", Json::uint(stats.fsync_errors)),
-        ("index_writes", Json::uint(stats.index_writes)),
-        ("index_write_errors", Json::uint(stats.index_write_errors)),
         ("recovered_entries", Json::uint(stats.recovered_entries)),
         ("dropped_bytes", Json::uint(stats.dropped_bytes)),
         ("degraded", Json::Bool(stats.degraded)),

@@ -23,36 +23,32 @@
 //! mutation; replacing a cell's value appends a newer record (last record
 //! wins on recovery, and [`compact`] rewrites the log without the losers).
 //!
-//! `cells.idx` is a sidecar snapshot of the in-memory index (fingerprint
-//! → record offset), refreshed every [`StoreConfig::index_interval`]
-//! appends via write-then-rename. It is an *accelerator*, never an
-//! authority: it names the log it was built from by log-id and covered
-//! length, and a stale, torn, or missing sidecar merely means the tail
-//! (or whole log) is re-scanned at open.
-//!
 //! # Crash safety and degradation
 //!
-//! * **Recovery never refuses to start.** Open scans forward and
-//!   truncates at the first short or checksum-failing record; what was
-//!   dropped is counted ([`StoreStats::dropped_bytes`]) and reported in
-//!   `/metrics`. A foreign or stale-schema file is reset rather than
-//!   trusted.
+//! * **Recovery never refuses to start.** Open scans the whole log
+//!   forward and truncates at the first short or checksum-failing record;
+//!   what was dropped is counted ([`StoreStats::dropped_bytes`]) and
+//!   reported in `/metrics`. A foreign or stale-schema file is reset
+//!   rather than trusted.
 //! * **Appends are write-behind and bounded.** Producers enqueue encoded
 //!   records; a full queue sheds the write (the simulation result is
 //!   still served from memory). A failed append rewinds the log to its
 //!   pre-append length so one bad write cannot poison the tail; if even
 //!   the rewind fails the store flips to *degraded* and stops persisting
 //!   — serving never stops.
+//! * **Appends are group-committed.** The persister writes every queued
+//!   record, issues one `fdatasync` for the burst, and only then makes
+//!   the records loadable and counts them in [`StoreStats::appended`]:
+//!   a record counted as appended is on stable storage, at one sync per
+//!   drained burst. A failed sync is counted
+//!   ([`StoreStats::fsync_errors`]) and the records stay loadable.
 //! * **Reads re-verify.** Every load re-checks the record CRC and
 //!   re-decodes the payload; bit rot yields a cache miss (and a counter),
 //!   never a corrupt response.
 //! * **Reads never wait on the disk's write side.** A load is a
-//!   positioned read of an indexed (hence fully written) record and takes
-//!   no lock the persister holds, so a request thread never queues behind
-//!   an append, an fsync, or a sidecar snapshot.
-//! * **`--fsync always|batch|off`** trades durability for append latency:
-//!   per-record `fdatasync`, batched sync (on queue drain or every
-//!   [`BATCH_FSYNC_EVERY`] records), or none.
+//!   positioned read of an indexed (hence written and synced) record and
+//!   takes no lock the persister holds, so a request thread never queues
+//!   behind an append or an fsync.
 //!
 //! Every I/O step is routed through an [`IoFault`] hook so tests can
 //! inject `ENOSPC`, short writes, and fsync failures deterministically
@@ -78,11 +74,8 @@ use fo4depth_workload::BenchClass;
 
 /// The append-only log's file name inside the cache directory.
 pub const LOG_FILE: &str = "cells.log";
-/// The sidecar index's file name inside the cache directory.
-pub const INDEX_FILE: &str = "cells.idx";
 
 const LOG_MAGIC: &[u8; 8] = b"FO4DCELL";
-const IDX_MAGIC: &[u8; 8] = b"FO4DIDX\0";
 /// On-disk framing version (bump on incompatible layout changes).
 /// Format 2 added the core-tag byte to the outcome payload
 /// ([`encode_outcome_tagged`]); format-1 logs are reset at open.
@@ -94,47 +87,6 @@ pub const RECORD_OVERHEAD: usize = 16;
 /// Largest accepted payload; longer lengths are treated as corruption
 /// (a real cell payload is a few KiB even with full counters).
 pub const MAX_PAYLOAD: u32 = 1 << 24;
-/// Under `FsyncPolicy::Batch`, sync at the latest after this many appends.
-pub const BATCH_FSYNC_EVERY: u64 = 32;
-
-/// When `fo4depth serve` pushes bytes to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// `fdatasync` after every appended record: a record acknowledged to
-    /// the queue survives `kill -9` once the persister has written it.
-    Always,
-    /// Sync when the write-behind queue drains, or at the latest every
-    /// [`BATCH_FSYNC_EVERY`] records (the default).
-    #[default]
-    Batch,
-    /// Never sync; the OS flushes at its leisure. Recovery still holds —
-    /// whatever prefix reached the disk is intact by CRC.
-    Off,
-}
-
-impl FsyncPolicy {
-    /// Parses the `--fsync` flag spelling.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "always" => Some(Self::Always),
-            "batch" => Some(Self::Batch),
-            "off" => Some(Self::Off),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling back.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Always => "always",
-            Self::Batch => "batch",
-            Self::Off => "off",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Record framing
 // ---------------------------------------------------------------------------
@@ -590,26 +542,19 @@ impl IoFault for ScriptedFaults {
 /// Everything configurable about one [`CellStore`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding `cells.log` and `cells.idx`.
+    /// Directory holding `cells.log`.
     pub dir: PathBuf,
-    /// Durability policy for appends.
-    pub fsync: FsyncPolicy,
     /// Bounded write-behind queue (records); beyond this, persistence is
     /// shed, not serving.
     pub queue_capacity: usize,
-    /// Appends between sidecar-index snapshots.
-    pub index_interval: u64,
 }
 
 impl StoreConfig {
-    /// Defaults for `dir`: batched fsync, a 1024-record queue, an index
-    /// snapshot every 64 appends.
+    /// Defaults for `dir`: a 1024-record queue.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            fsync: FsyncPolicy::default(),
             queue_capacity: 1024,
-            index_interval: 64,
         }
     }
 }
@@ -629,7 +574,8 @@ pub struct StoreStats {
     /// Loads that found a record which failed its CRC or decode — bit
     /// rot surfacing as a miss instead of a corrupt response.
     pub read_errors: u64,
-    /// Records appended durably (by the configured policy).
+    /// Records written, synced and made loadable (a failed sync is
+    /// counted in `fsync_errors`, and its records still count here).
     pub appended: u64,
     /// Appends that failed at the disk and were rolled back.
     pub append_errors: u64,
@@ -639,11 +585,6 @@ pub struct StoreStats {
     pub fsyncs: u64,
     /// `fdatasync` calls that failed (durability lost, consistency kept).
     pub fsync_errors: u64,
-    /// Sidecar index snapshots written.
-    pub index_writes: u64,
-    /// Sidecar snapshots that failed to write (the log is the authority;
-    /// the only cost is a longer scan at next open).
-    pub index_write_errors: u64,
     /// Entries recovered from the log at open.
     pub recovered_entries: u64,
     /// Corrupt-tail (or foreign-file) bytes truncated at open.
@@ -666,32 +607,31 @@ struct Slot {
 struct LogState {
     file: File,
     len: u64,
-    appends_since_index: u64,
-    appends_since_fsync: u64,
 }
 
 struct Queue {
     items: VecDeque<(u64, Vec<u8>)>,
+    /// The persister holds a drained burst it has not yet published.
+    committing: bool,
     shutdown: bool,
-    exited: bool,
-    flush_epoch: u64,
-    flushed_epoch: u64,
 }
 
 struct Inner {
     config: StoreConfig,
-    idx_path: PathBuf,
-    log_id: u64,
+    /// The persister's append handle. It holds the lock from draining
+    /// a burst until that burst is synced.
     log: Mutex<LogState>,
     /// A second handle on the log for [`CellStore::load`]'s positioned
-    /// reads, outside the `log` lock the persister holds across appends,
-    /// fsyncs and sidecar snapshots.
+    /// reads, outside the `log` lock the persister holds across appends
+    /// and fsyncs.
     reader: File,
     index: Mutex<HashMap<u64, Slot>>,
     queue: Mutex<Queue>,
     queue_cv: Condvar,
     fault: Arc<dyn IoFault>,
     degraded: AtomicBool,
+    /// Length of the published log prefix (header included).
+    log_bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     read_errors: AtomicU64,
@@ -700,8 +640,6 @@ struct Inner {
     shed: AtomicU64,
     fsyncs: AtomicU64,
     fsync_errors: AtomicU64,
-    index_writes: AtomicU64,
-    index_write_errors: AtomicU64,
     recovered_entries: u64,
     dropped_bytes: u64,
 }
@@ -722,18 +660,17 @@ fn header_bytes(log_id: u64) -> [u8; HEADER_LEN as usize] {
     h
 }
 
-/// Parses a log header, returning its log-id when compatible.
-fn parse_header(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < HEADER_LEN as usize
-        || &bytes[0..8] != LOG_MAGIC
-        || bytes[8..12] != LOG_FORMAT.to_le_bytes()
-        || bytes[12..16] != (CELL_SCHEMA as u32).to_le_bytes()
-    {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[16..24].try_into().expect("8")))
+/// Whether `bytes` starts with a compatible log header (the log-id is
+/// provenance only and not checked).
+fn header_ok(bytes: &[u8]) -> bool {
+    bytes.len() >= HEADER_LEN as usize
+        && &bytes[0..8] == LOG_MAGIC
+        && bytes[8..12] == LOG_FORMAT.to_le_bytes()
+        && bytes[12..16] == (CELL_SCHEMA as u32).to_le_bytes()
 }
 
+/// A new log generation's header id. It tells one log from another
+/// (a reset or a compaction writes a new one); nothing reads it back.
 fn fresh_log_id() -> u64 {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -742,63 +679,6 @@ fn fresh_log_id() -> u64 {
     // Mix in the pid so two processes creating logs in the same nanosecond
     // (or on a clockless platform) still differ.
     nanos ^ (u64::from(std::process::id()) << 48) | 1
-}
-
-fn encode_index(log_id: u64, covered_len: u64, entries: &[(u64, Slot)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(40 + entries.len() * 20);
-    out.extend_from_slice(IDX_MAGIC);
-    out.extend_from_slice(&LOG_FORMAT.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&log_id.to_le_bytes());
-    out.extend_from_slice(&covered_len.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for &(fp, slot) in entries {
-        out.extend_from_slice(&fp.to_le_bytes());
-        out.extend_from_slice(&slot.offset.to_le_bytes());
-        out.extend_from_slice(&slot.total_len.to_le_bytes());
-    }
-    let crc = crc32c(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// A decoded sidecar snapshot: which log generation it describes, how
-/// many log bytes it covers, and the slots it carries.
-struct IndexSnapshot {
-    log_id: u64,
-    covered_len: u64,
-    entries: Vec<(u64, Slot)>,
-}
-
-fn decode_index(bytes: &[u8]) -> Option<IndexSnapshot> {
-    if bytes.len() < 44 || &bytes[0..8] != IDX_MAGIC || bytes[8..12] != LOG_FORMAT.to_le_bytes() {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4"));
-    if crc32c(body) != stored {
-        return None;
-    }
-    let log_id = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
-    let covered_len = u64::from_le_bytes(bytes[24..32].try_into().expect("8"));
-    let count = u64::from_le_bytes(bytes[32..40].try_into().expect("8"));
-    let entry_bytes = body.len().checked_sub(40)?;
-    if count.checked_mul(20)? != entry_bytes as u64 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(count as usize);
-    for i in 0..count as usize {
-        let at = 40 + i * 20;
-        let fp = u64::from_le_bytes(body[at..at + 8].try_into().expect("8"));
-        let offset = u64::from_le_bytes(body[at + 8..at + 16].try_into().expect("8"));
-        let total_len = u32::from_le_bytes(body[at + 16..at + 20].try_into().expect("4"));
-        entries.push((fp, Slot { offset, total_len }));
-    }
-    Some(IndexSnapshot {
-        log_id,
-        covered_len,
-        entries,
-    })
 }
 
 impl CellStore {
@@ -813,113 +693,51 @@ impl CellStore {
     /// or the log cannot be opened/read at all.
     pub fn open(config: StoreConfig, fault: Arc<dyn IoFault>) -> io::Result<Self> {
         std::fs::create_dir_all(&config.dir)?;
-        let log_path = config.dir.join(LOG_FILE);
-        let idx_path = config.dir.join(INDEX_FILE);
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&log_path)?;
-        let disk_len = file.metadata()?.len();
-        let mut dropped_bytes = 0u64;
-
-        let mut head = [0u8; HEADER_LEN as usize];
-        let log_id = if disk_len >= HEADER_LEN {
-            file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut head)?;
-            parse_header(&head)
-        } else {
-            None
-        };
-        let (log_id, mut len) = match log_id {
-            Some(id) => (id, disk_len),
-            None => {
-                // Empty, foreign, or stale-schema file: start fresh. A
-                // stale schema means every cached outcome is invalid
-                // anyway; counting the old bytes as dropped makes the
-                // reset visible in /metrics.
-                dropped_bytes += disk_len;
-                let id = fresh_log_id();
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(&header_bytes(id))?;
+            .open(config.dir.join(LOG_FILE))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let walked = walk(&bytes);
+        let disk_len = bytes.len() as u64;
+        drop(bytes);
+        let dropped_bytes = disk_len - walked.good_len;
+        let len = if walked.header_ok {
+            if dropped_bytes > 0 {
+                file.set_len(walked.good_len)?;
                 file.sync_all()?;
-                (id, HEADER_LEN)
             }
+            walked.good_len
+        } else {
+            // Empty, foreign, or stale-schema file: start fresh. A stale
+            // schema means every cached outcome is invalid anyway;
+            // counting the old bytes as dropped makes the reset visible
+            // in /metrics.
+            file.set_len(0)?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(&header_bytes(fresh_log_id()))?;
+            file.sync_all()?;
+            HEADER_LEN
         };
 
-        // Seed the index from the sidecar when it provably describes this
-        // log (same id, covers no more than what exists); otherwise scan
-        // everything. The sidecar is only ever a head start: record CRCs
-        // are re-verified on every load.
-        let mut index: HashMap<u64, Slot> = HashMap::new();
-        let mut scan_from = HEADER_LEN;
-        if let Ok(bytes) = std::fs::read(&idx_path) {
-            if let Some(snapshot) = decode_index(&bytes) {
-                if snapshot.log_id == log_id
-                    && snapshot.covered_len >= HEADER_LEN
-                    && snapshot.covered_len <= len
-                {
-                    index.extend(snapshot.entries);
-                    scan_from = snapshot.covered_len;
-                }
-            }
-        }
-
-        // Scan the (tail of the) log, truncating at the first bad record.
-        if len > scan_from {
-            let mut tail = vec![0u8; (len - scan_from) as usize];
-            file.seek(SeekFrom::Start(scan_from))?;
-            file.read_exact(&mut tail)?;
-            let mut at = 0usize;
-            while at < tail.len() {
-                match decode_record(&tail[at..]) {
-                    Ok((fp, _payload, consumed)) => {
-                        index.insert(
-                            fp,
-                            Slot {
-                                offset: scan_from + at as u64,
-                                total_len: consumed as u32,
-                            },
-                        );
-                        at += consumed;
-                    }
-                    Err(_) => {
-                        let good_end = scan_from + at as u64;
-                        dropped_bytes += len - good_end;
-                        file.set_len(good_end)?;
-                        file.sync_all()?;
-                        len = good_end;
-                        break;
-                    }
-                }
-            }
-        }
-
-        let recovered_entries = index.len() as u64;
+        let recovered_entries = walked.live.len() as u64;
         let reader = file.try_clone()?;
         let inner = Arc::new(Inner {
-            idx_path,
-            log_id,
             reader,
-            log: Mutex::new(LogState {
-                file,
-                len,
-                appends_since_index: 0,
-                appends_since_fsync: 0,
-            }),
-            index: Mutex::new(index),
+            log: Mutex::new(LogState { file, len }),
+            index: Mutex::new(walked.live),
             queue: Mutex::new(Queue {
                 items: VecDeque::new(),
+                committing: false,
                 shutdown: false,
-                exited: false,
-                flush_epoch: 0,
-                flushed_epoch: 0,
             }),
             queue_cv: Condvar::new(),
             fault,
             degraded: AtomicBool::new(false),
+            log_bytes: AtomicU64::new(len),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
@@ -928,8 +746,6 @@ impl CellStore {
             shed: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             fsync_errors: AtomicU64::new(0),
-            index_writes: AtomicU64::new(0),
-            index_write_errors: AtomicU64::new(0),
             recovered_entries,
             dropped_bytes,
             config,
@@ -983,8 +799,8 @@ impl CellStore {
 
     /// Positioned read that does not disturb the append cursor and takes
     /// no lock. The slot came from the index, which records an append
-    /// only once its bytes are written, and nothing shortens the log
-    /// below an indexed record while the store is open.
+    /// only once its burst is written and synced, and nothing shortens
+    /// the log below an indexed record while the store is open.
     #[cfg(unix)]
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         use std::os::unix::fs::FileExt as _;
@@ -1030,18 +846,12 @@ impl CellStore {
         self.inner.queue_cv.notify_all();
     }
 
-    /// Blocks until every queued record is on disk (by the configured
-    /// fsync policy, plus one explicit sync) and the sidecar index is
-    /// current. Called on graceful daemon shutdown; cheap when idle.
+    /// Blocks until every queued record has been committed: written,
+    /// synced and loadable. Called on graceful daemon shutdown; returns
+    /// at once when idle.
     pub fn flush(&self) {
         let mut queue = self.inner.queue.lock().expect("queue lock");
-        if queue.exited {
-            return;
-        }
-        queue.flush_epoch += 1;
-        let target = queue.flush_epoch;
-        self.inner.queue_cv.notify_all();
-        while queue.flushed_epoch < target && !queue.exited {
+        while !queue.items.is_empty() || queue.committing {
             queue = self.inner.queue_cv.wait(queue).expect("queue lock");
         }
     }
@@ -1050,11 +860,10 @@ impl CellStore {
     #[must_use]
     pub fn stats(&self) -> StoreStats {
         let entries = self.inner.index.lock().expect("index lock").len();
-        let log_bytes = self.inner.log.lock().expect("log lock").len;
         let queue_depth = self.inner.queue.lock().expect("queue lock").items.len();
         StoreStats {
             entries,
-            log_bytes,
+            log_bytes: self.inner.log_bytes.load(Ordering::Relaxed),
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
             read_errors: self.inner.read_errors.load(Ordering::Relaxed),
@@ -1063,8 +872,6 @@ impl CellStore {
             shed: self.inner.shed.load(Ordering::Relaxed),
             fsyncs: self.inner.fsyncs.load(Ordering::Relaxed),
             fsync_errors: self.inner.fsync_errors.load(Ordering::Relaxed),
-            index_writes: self.inner.index_writes.load(Ordering::Relaxed),
-            index_write_errors: self.inner.index_write_errors.load(Ordering::Relaxed),
             recovered_entries: self.inner.recovered_entries,
             dropped_bytes: self.inner.dropped_bytes,
             degraded: self.inner.degraded.load(Ordering::Relaxed),
@@ -1093,58 +900,67 @@ impl Drop for CellStore {
     }
 }
 
-enum Job {
-    Append(u64, Vec<u8>),
-    Flush(u64),
-    Exit,
-}
-
-fn persister_loop(inner: &Arc<Inner>) {
+/// Group commit: wait for work, take the log, then drain everything
+/// queued by then as one burst. Exits once shut down and drained.
+fn persister_loop(inner: &Inner) {
     loop {
-        let job = {
+        {
             let mut queue = inner.queue.lock().expect("queue lock");
-            loop {
-                if let Some((fp, record)) = queue.items.pop_front() {
-                    break Job::Append(fp, record);
-                }
-                if queue.flush_epoch > queue.flushed_epoch {
-                    break Job::Flush(queue.flush_epoch);
-                }
+            while queue.items.is_empty() {
                 if queue.shutdown {
-                    break Job::Exit;
+                    return;
                 }
                 queue = inner.queue_cv.wait(queue).expect("queue lock");
             }
-        };
-        match job {
-            Job::Append(fp, record) => append(inner, fp, &record),
-            Job::Flush(epoch) => {
-                sync_and_snapshot(inner);
-                let mut queue = inner.queue.lock().expect("queue lock");
-                queue.flushed_epoch = queue.flushed_epoch.max(epoch);
-                drop(queue);
-                inner.queue_cv.notify_all();
-            }
-            Job::Exit => {
-                sync_and_snapshot(inner);
-                let mut queue = inner.queue.lock().expect("queue lock");
-                queue.exited = true;
-                drop(queue);
-                inner.queue_cv.notify_all();
-                return;
-            }
         }
+        let mut log = inner.log.lock().expect("log lock");
+        let burst = {
+            let mut queue = inner.queue.lock().expect("queue lock");
+            queue.committing = true;
+            std::mem::take(&mut queue.items)
+        };
+        commit(inner, &mut log, burst);
+        drop(log);
+        inner.queue.lock().expect("queue lock").committing = false;
+        inner.queue_cv.notify_all();
     }
 }
 
-/// Appends one encoded record, keeping the log's intact-prefix invariant
-/// whatever the disk does.
-fn append(inner: &Arc<Inner>, fingerprint: u64, record: &[u8]) {
-    if inner.degraded.load(Ordering::Relaxed) {
-        inner.shed.fetch_add(1, Ordering::Relaxed);
+/// Writes a burst, syncs it once, then publishes what landed to the
+/// index and the counters, so a loadable record is a synced one.
+fn commit(inner: &Inner, log: &mut LogState, burst: VecDeque<(u64, Vec<u8>)>) {
+    let mut written = Vec::with_capacity(burst.len());
+    for (fingerprint, record) in burst {
+        if inner.degraded.load(Ordering::Relaxed) {
+            inner.shed.fetch_add(1, Ordering::Relaxed);
+        } else if let Some(slot) = append(inner, log, &record) {
+            written.push((fingerprint, slot));
+        }
+    }
+    if written.is_empty() {
         return;
     }
-    let mut log = inner.log.lock().expect("log lock");
+    let synced = match inner.fault.on_fsync() {
+        Some(kind) => Err(io::Error::new(kind, "injected fsync fault")),
+        None => log.file.sync_data(),
+    };
+    if synced.is_ok() {
+        inner.fsyncs.fetch_add(1, Ordering::Relaxed);
+    } else {
+        // Durability of the burst is unknown; consistency is not at
+        // risk (the prefix property holds regardless).
+        inner.fsync_errors.fetch_add(1, Ordering::Relaxed);
+    }
+    inner
+        .appended
+        .fetch_add(written.len() as u64, Ordering::Relaxed);
+    inner.index.lock().expect("index lock").extend(written);
+    inner.log_bytes.store(log.len, Ordering::Relaxed);
+}
+
+/// Appends one encoded record, keeping the log's intact-prefix invariant
+/// whatever the disk does. Returns the record's slot once written.
+fn append(inner: &Inner, log: &mut LogState, record: &[u8]) -> Option<Slot> {
     let pre = log.len;
     let write_result = match inner.fault.on_append(record.len()) {
         Some(InjectedFault::Error(kind)) => Err(io::Error::new(kind, "injected append fault")),
@@ -1166,94 +982,68 @@ fn append(inner: &Arc<Inner>, fingerprint: u64, record: &[u8]) {
             .seek(SeekFrom::Start(pre))
             .and_then(|_| log.file.write_all(record)),
     };
-    match write_result {
-        Ok(()) => {
-            log.len = pre + record.len() as u64;
-            log.appends_since_index += 1;
-            log.appends_since_fsync += 1;
-            inner.appended.fetch_add(1, Ordering::Relaxed);
-            inner.index.lock().expect("index lock").insert(
-                fingerprint,
-                Slot {
-                    offset: pre,
-                    total_len: record.len() as u32,
-                },
-            );
-            let sync_now = match inner.config.fsync {
-                FsyncPolicy::Always => true,
-                FsyncPolicy::Batch => {
-                    log.appends_since_fsync >= BATCH_FSYNC_EVERY
-                        || inner.queue.lock().expect("queue lock").items.is_empty()
-                }
-                FsyncPolicy::Off => false,
-            };
-            if sync_now {
-                fsync_log(inner, &mut log);
-            }
-            if log.appends_since_index >= inner.config.index_interval {
-                write_snapshot(inner, &mut log);
-            }
-        }
-        Err(_) => {
-            // The tail may now hold a torn record. Rewind to the last
-            // committed length; if even that fails, stop persisting —
-            // appending after an unknown tail would bury every later
-            // record behind garbage.
-            inner.append_errors.fetch_add(1, Ordering::Relaxed);
-            let rewind = match inner.fault.on_truncate() {
-                Some(kind) => Err(io::Error::new(kind, "injected truncate fault")),
-                None => log.file.set_len(pre),
-            };
-            if rewind.is_err() {
-                inner.degraded.store(true, Ordering::Relaxed);
-            }
-        }
+    if write_result.is_ok() {
+        log.len = pre + record.len() as u64;
+        return Some(Slot {
+            offset: pre,
+            total_len: record.len() as u32,
+        });
     }
-}
-
-fn fsync_log(inner: &Arc<Inner>, log: &mut LogState) {
-    let result = match inner.fault.on_fsync() {
-        Some(kind) => Err(io::Error::new(kind, "injected fsync fault")),
-        None => log.file.sync_data(),
+    // The tail may now hold a torn record. Rewind to the last written
+    // length; if even that fails, stop persisting — appending after an
+    // unknown tail would bury every later record behind garbage.
+    inner.append_errors.fetch_add(1, Ordering::Relaxed);
+    let rewind = match inner.fault.on_truncate() {
+        Some(kind) => Err(io::Error::new(kind, "injected truncate fault")),
+        None => log.file.set_len(pre),
     };
-    match result {
-        Ok(()) => {
-            inner.fsyncs.fetch_add(1, Ordering::Relaxed);
-            log.appends_since_fsync = 0;
-        }
-        Err(_) => {
-            // Durability of recent appends is unknown; consistency is
-            // not at risk (the prefix property holds regardless).
-            inner.fsync_errors.fetch_add(1, Ordering::Relaxed);
-        }
+    if rewind.is_err() {
+        inner.degraded.store(true, Ordering::Relaxed);
     }
+    None
 }
 
-fn write_snapshot(inner: &Arc<Inner>, log: &mut LogState) {
-    let mut entries: Vec<(u64, Slot)> = {
-        let index = inner.index.lock().expect("index lock");
-        index.iter().map(|(&fp, &slot)| (fp, slot)).collect()
+/// What one forward walk of a log image found.
+struct Walk {
+    /// Whether the header is a compatible log's; an empty, foreign or
+    /// stale-schema file is unreadable from its first byte.
+    header_ok: bool,
+    /// Each fingerprint's last intact record.
+    live: HashMap<u64, Slot>,
+    /// Intact records walked, superseded ones included.
+    records: u64,
+    /// Length of the intact prefix, header included; what follows it is
+    /// a torn or corrupt tail.
+    good_len: u64,
+}
+
+/// Walks a whole log image forward, stopping at the first short or
+/// checksum-failing record. [`CellStore::open`], [`inspect`] and
+/// [`compact`] all read a log through this.
+fn walk(bytes: &[u8]) -> Walk {
+    let mut walked = Walk {
+        header_ok: header_ok(bytes),
+        live: HashMap::new(),
+        records: 0,
+        good_len: 0,
     };
-    entries.sort_by_key(|&(_, slot)| slot.offset);
-    let bytes = encode_index(inner.log_id, log.len, &entries);
-    match fsio::write_atomic(&inner.idx_path, &bytes) {
-        Ok(()) => {
-            inner.index_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            inner.index_write_errors.fetch_add(1, Ordering::Relaxed);
-        }
+    if !walked.header_ok {
+        return walked;
     }
-    // Either way, wait a full interval before trying again.
-    log.appends_since_index = 0;
-}
-
-fn sync_and_snapshot(inner: &Arc<Inner>) {
-    let mut log = inner.log.lock().expect("log lock");
-    if inner.config.fsync != FsyncPolicy::Off {
-        fsync_log(inner, &mut log);
+    let mut at = HEADER_LEN as usize;
+    while let Ok((fingerprint, _payload, consumed)) = decode_record(&bytes[at..]) {
+        walked.live.insert(
+            fingerprint,
+            Slot {
+                offset: at as u64,
+                total_len: consumed as u32,
+            },
+        );
+        walked.records += 1;
+        at += consumed;
     }
-    write_snapshot(inner, &mut log);
+    walked.good_len = at as u64;
+    walked
 }
 
 // ---------------------------------------------------------------------------
@@ -1313,35 +1103,18 @@ fn payload_prefix(payload: &[u8]) -> Option<(u8, String)> {
 /// reported, not returned.
 pub fn inspect(dir: &Path, decode_payloads: bool) -> io::Result<LogReport> {
     let bytes = std::fs::read(dir.join(LOG_FILE))?;
+    let walked = walk(&bytes);
     let mut report = LogReport {
         log_bytes: bytes.len() as u64,
+        header_ok: walked.header_ok,
+        records: walked.records,
+        entries: walked.live.len() as u64,
+        corrupt_tail_bytes: bytes.len() as u64 - walked.good_len,
         ..LogReport::default()
     };
-    if parse_header(&bytes).is_none() {
-        report.corrupt_tail_bytes = bytes.len() as u64;
-        return Ok(report);
-    }
-    report.header_ok = true;
-    let mut live: HashMap<u64, (usize, usize)> = HashMap::new();
-    let mut at = HEADER_LEN as usize;
-    while at < bytes.len() {
-        match decode_record(&bytes[at..]) {
-            Ok((fp, _payload, consumed)) => {
-                report.records += 1;
-                live.insert(fp, (at, consumed));
-                at += consumed;
-            }
-            Err(_) => {
-                report.corrupt_tail_bytes = (bytes.len() - at) as u64;
-                break;
-            }
-        }
-    }
-    report.entries = live.len() as u64;
-    for &(offset, len) in live.values() {
-        report.live_bytes += len as u64;
-        let (_, payload, _) =
-            decode_record(&bytes[offset..offset + len]).expect("walked record re-decodes");
+    for slot in walked.live.values() {
+        report.live_bytes += u64::from(slot.total_len);
+        let (_, payload, _) = decode_record(record_bytes(&bytes, *slot)).expect("walked record");
         match payload_prefix(payload) {
             Some((tag, name)) => {
                 *report.by_core.entry(core_tag_key(tag)).or_insert(0) += 1;
@@ -1356,6 +1129,12 @@ pub fn inspect(dir: &Path, decode_payloads: bool) -> io::Result<LogReport> {
         }
     }
     Ok(report)
+}
+
+/// A walked record's bytes within its log image.
+fn record_bytes(bytes: &[u8], slot: Slot) -> &[u8] {
+    let start = slot.offset as usize;
+    &bytes[start..start + slot.total_len as usize]
 }
 
 /// What a [`compact`] pass did.
@@ -1374,10 +1153,9 @@ pub struct CompactReport {
 }
 
 /// Rewrites `cells.log` under `dir` keeping only the winning record per
-/// fingerprint (in log order), dropping any corrupt tail, and refreshing
-/// the sidecar index — all atomically (write-new + rename), so a crash
-/// mid-compact leaves the old log untouched. Must not race a live
-/// daemon on the same directory.
+/// fingerprint (in log order) and dropping any corrupt tail, atomically
+/// (write-new + rename), so a crash mid-compact leaves the old log
+/// untouched. Must not race a live daemon on the same directory.
 ///
 /// # Errors
 ///
@@ -1385,59 +1163,24 @@ pub struct CompactReport {
 pub fn compact(dir: &Path) -> io::Result<CompactReport> {
     let log_path = dir.join(LOG_FILE);
     let bytes = std::fs::read(&log_path)?;
-    let mut live: HashMap<u64, (usize, usize)> = HashMap::new();
-    let mut records = 0u64;
-    let mut corrupt_tail_bytes = 0u64;
-    let mut at = HEADER_LEN as usize;
-    if parse_header(&bytes).is_none() {
-        corrupt_tail_bytes = bytes.len() as u64;
-        at = bytes.len();
-    }
-    while at < bytes.len() {
-        match decode_record(&bytes[at..]) {
-            Ok((fp, _payload, consumed)) => {
-                records += 1;
-                live.insert(fp, (at, consumed));
-                at += consumed;
-            }
-            Err(_) => {
-                corrupt_tail_bytes = (bytes.len() - at) as u64;
-                break;
-            }
-        }
-    }
-    let mut winners: Vec<(u64, usize, usize)> = live
-        .iter()
-        .map(|(&fp, &(offset, len))| (fp, offset, len))
-        .collect();
-    winners.sort_by_key(|&(_, offset, _)| offset);
+    let walked = walk(&bytes);
+    let mut winners: Vec<Slot> = walked.live.values().copied().collect();
+    winners.sort_by_key(|slot| slot.offset);
 
-    let log_id = fresh_log_id();
     let mut out = Vec::with_capacity(
-        HEADER_LEN as usize + winners.iter().map(|&(_, _, len)| len).sum::<usize>(),
+        HEADER_LEN as usize + winners.iter().map(|s| s.total_len as usize).sum::<usize>(),
     );
-    out.extend_from_slice(&header_bytes(log_id));
-    let mut index_entries = Vec::with_capacity(winners.len());
-    for &(fp, offset, len) in &winners {
-        index_entries.push((
-            fp,
-            Slot {
-                offset: out.len() as u64,
-                total_len: len as u32,
-            },
-        ));
-        out.extend_from_slice(&bytes[offset..offset + len]);
+    out.extend_from_slice(&header_bytes(fresh_log_id()));
+    for &slot in &winners {
+        out.extend_from_slice(record_bytes(&bytes, slot));
     }
-    let bytes_after = out.len() as u64;
     fsio::write_atomic(&log_path, &out)?;
-    let idx = encode_index(log_id, bytes_after, &index_entries);
-    fsio::write_atomic(&dir.join(INDEX_FILE), &idx)?;
     Ok(CompactReport {
         bytes_before: bytes.len() as u64,
-        bytes_after,
+        bytes_after: out.len() as u64,
         entries: winners.len() as u64,
-        superseded_dropped: records - winners.len() as u64,
-        corrupt_tail_bytes,
+        superseded_dropped: walked.records - winners.len() as u64,
+        corrupt_tail_bytes: bytes.len() as u64 - walked.good_len,
     })
 }
 
@@ -1500,9 +1243,7 @@ mod tests {
     }
 
     fn open_store(dir: &Path) -> CellStore {
-        let mut config = StoreConfig::new(dir);
-        config.fsync = FsyncPolicy::Always;
-        CellStore::open(config, Arc::new(NoFault)).expect("open store")
+        CellStore::open(StoreConfig::new(dir), Arc::new(NoFault)).expect("open store")
     }
 
     #[test]
@@ -1615,9 +1356,8 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn loads_do_not_wait_for_the_log_lock() {
-        // The persister holds the log lock across appends, fsyncs and
-        // sidecar snapshots; a request thread's load must not queue
-        // behind any of them.
+        // The persister holds the log lock across appends and fsyncs; a
+        // request thread's load must not queue behind either.
         let dir = TempDir::new("fo4depth-store").expect("temp dir");
         let a = sample_outcome(1, true);
         let store = open_store(dir.path());
@@ -1709,7 +1449,10 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_index_accelerates_reopen_and_stale_sidecars_are_ignored() {
+    fn leftover_sidecar_index_is_ignored() {
+        // Older builds kept a sidecar index snapshot beside the log. The
+        // log is the only authority: whatever that file holds, open scans
+        // the whole log and recovers every entry.
         let dir = TempDir::new("fo4depth-store").expect("temp dir");
         {
             let store = open_store(dir.path());
@@ -1717,22 +1460,19 @@ mod tests {
                 store.put(i, &sample_outcome(i, false));
             }
             store.flush();
-            assert!(store.stats().index_writes >= 1, "flush snapshots the index");
         }
-        {
-            let store = open_store(dir.path());
-            assert_eq!(store.stats().recovered_entries, 5);
-        }
-        // A corrupted sidecar must be ignored, not trusted: recovery
-        // falls back to the full scan and still finds everything.
-        let idx_path = dir.path().join(INDEX_FILE);
-        let mut idx = std::fs::read(&idx_path).expect("sidecar exists");
-        let mid = idx.len() / 2;
-        idx[mid] ^= 0xFF;
-        std::fs::write(&idx_path, &idx).expect("corrupt sidecar");
+        std::fs::write(
+            dir.path().join("cells.idx"),
+            b"FO4DIDX\0 garbage, not an index",
+        )
+        .expect("plant sidecar");
         let store = open_store(dir.path());
-        assert_eq!(store.stats().recovered_entries, 5);
-        assert!(store.load(3).is_some());
+        let s = store.stats();
+        assert_eq!(s.recovered_entries, 5);
+        assert_eq!(s.dropped_bytes, 0);
+        for i in 0..5 {
+            assert_eq!(store.load(i).expect("entry"), sample_outcome(i, false));
+        }
     }
 
     #[test]
@@ -1742,9 +1482,7 @@ mod tests {
         // First append fails with ENOSPC, second succeeds.
         faults.script_append(Some(InjectedFault::Error(io::ErrorKind::StorageFull)));
         faults.script_append(None);
-        let mut config = StoreConfig::new(dir.path());
-        config.fsync = FsyncPolicy::Always;
-        let store = CellStore::open(config, faults).expect("open");
+        let store = CellStore::open(StoreConfig::new(dir.path()), faults).expect("open");
         let a = sample_outcome(1, false);
         let b = sample_outcome(2, false);
         store.put(10, &a);
@@ -1768,9 +1506,7 @@ mod tests {
         let dir = TempDir::new("fo4depth-store").expect("temp dir");
         let faults = ScriptedFaults::new();
         faults.script_append(Some(InjectedFault::Short(9)));
-        let mut config = StoreConfig::new(dir.path());
-        config.fsync = FsyncPolicy::Always;
-        let store = CellStore::open(config, faults).expect("open");
+        let store = CellStore::open(StoreConfig::new(dir.path()), faults).expect("open");
         store.put(10, &sample_outcome(1, false));
         let b = sample_outcome(2, false);
         store.put(11, &b);
@@ -1793,9 +1529,7 @@ mod tests {
         let faults = ScriptedFaults::new();
         faults.script_append(Some(InjectedFault::Short(5)));
         faults.script_truncate(Some(io::ErrorKind::PermissionDenied));
-        let mut config = StoreConfig::new(dir.path());
-        config.fsync = FsyncPolicy::Always;
-        let store = CellStore::open(config, faults).expect("open");
+        let store = CellStore::open(StoreConfig::new(dir.path()), faults).expect("open");
         store.put(10, &sample_outcome(1, false));
         store.flush();
         assert!(store.stats().degraded);
@@ -1818,9 +1552,7 @@ mod tests {
         let dir = TempDir::new("fo4depth-store").expect("temp dir");
         let faults = ScriptedFaults::new();
         faults.script_fsync(Some(io::ErrorKind::Other));
-        let mut config = StoreConfig::new(dir.path());
-        config.fsync = FsyncPolicy::Always;
-        let store = CellStore::open(config, faults).expect("open");
+        let store = CellStore::open(StoreConfig::new(dir.path()), faults).expect("open");
         let a = sample_outcome(1, false);
         store.put(10, &a);
         store.flush();
@@ -1869,7 +1601,6 @@ mod tests {
         let gate = GateFault::new();
         let mut config = StoreConfig::new(dir.path());
         config.queue_capacity = 1;
-        config.fsync = FsyncPolicy::Off;
         let store = CellStore::open(config, Arc::clone(&gate) as Arc<dyn IoFault>).expect("open");
         let a = sample_outcome(1, true);
         // With the persister parked on the first record and one queue
@@ -1884,6 +1615,99 @@ mod tests {
         assert_eq!(s.appended + s.shed, 3, "every put accounted for");
         assert!(s.shed >= 1, "a full queue sheds instead of blocking");
         assert!(s.appended >= 1, "the accepted records still land");
+    }
+
+    /// An [`IoFault`] that counts appends and parks the persister in its
+    /// first fsync until released. Injects nothing; it only controls
+    /// timing.
+    #[derive(Default)]
+    struct SyncGate {
+        state: Mutex<SyncGateState>,
+        cv: Condvar,
+    }
+
+    #[derive(Default)]
+    struct SyncGateState {
+        appends: usize,
+        parked: bool,
+        open: bool,
+    }
+
+    impl SyncGate {
+        /// Waits (up to 10 s) until the persister is parked in its fsync
+        /// and returns how many records it had written by then.
+        fn wait_parked(&self) -> Option<usize> {
+            let state = self.state.lock().expect("gate lock");
+            let (state, timeout) = self
+                .cv
+                .wait_timeout_while(state, std::time::Duration::from_secs(10), |s| !s.parked)
+                .expect("gate lock");
+            (!timeout.timed_out()).then_some(state.appends)
+        }
+
+        fn release(&self) {
+            self.state.lock().expect("gate lock").open = true;
+            self.cv.notify_all();
+        }
+    }
+
+    impl IoFault for SyncGate {
+        fn on_append(&self, _record_len: usize) -> Option<InjectedFault> {
+            self.state.lock().expect("gate lock").appends += 1;
+            None
+        }
+
+        fn on_fsync(&self) -> Option<io::ErrorKind> {
+            let mut state = self.state.lock().expect("gate lock");
+            state.parked = true;
+            self.cv.notify_all();
+            while !state.open {
+                state = self.cv.wait(state).expect("gate lock");
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn appended_counts_only_synced_records() {
+        const K: u64 = 8;
+        let dir = TempDir::new("fo4depth-store").expect("temp dir");
+        let gate = Arc::new(SyncGate::default());
+        let store = CellStore::open(
+            StoreConfig::new(dir.path()),
+            Arc::clone(&gate) as Arc<dyn IoFault>,
+        )
+        .expect("open");
+        let a = sample_outcome(1, true);
+        {
+            // Holding the log while the burst queues makes the persister
+            // drain all K records at once when it gets the log.
+            let _log = store.inner.log.lock().expect("log lock");
+            for fp in 0..K {
+                store.put(fp, &a);
+            }
+        }
+        let parked_writes = gate.wait_parked();
+        let parked = store.stats();
+        let early_load = store.load(0);
+        // Release before asserting: dropping the store joins the
+        // persister, so a failed assert must not leave it parked.
+        gate.release();
+        assert_eq!(parked_writes, Some(K as usize), "one burst of K writes");
+        assert_eq!(
+            parked.appended, 0,
+            "written but unsynced records are not appended"
+        );
+        assert_eq!(parked.entries, 0, "nor indexed");
+        assert!(early_load.is_none(), "nor loadable");
+
+        store.flush();
+        let s = store.stats();
+        assert_eq!(s.appended, K);
+        assert_eq!(s.fsyncs, 1, "one sync for the whole burst");
+        for fp in 0..K {
+            assert_eq!(store.load(fp).expect("synced record"), a);
+        }
     }
 
     #[test]
@@ -1911,6 +1735,14 @@ mod tests {
         assert_eq!(report.entries, 2);
         assert_eq!(report.corrupt_tail_bytes, 13);
         assert_eq!(report.payload_errors, 0);
+
+        // Open walks a log the way inspect does: a copy of the same torn
+        // log recovers exactly the entries inspect counted.
+        let copy = TempDir::new("fo4depth-store").expect("temp dir");
+        std::fs::copy(dir.path().join(LOG_FILE), copy.path().join(LOG_FILE)).expect("copy log");
+        let s = open_store(copy.path()).stats();
+        assert_eq!(s.recovered_entries, report.entries);
+        assert_eq!(s.dropped_bytes, report.corrupt_tail_bytes);
 
         let compacted = compact(dir.path()).expect("compact");
         assert_eq!(compacted.entries, 2);

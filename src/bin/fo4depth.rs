@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use fo4depth::fo4::Fo4;
 use fo4depth::serve::client::{InjectedNetFault, ScriptedNetFaults};
-use fo4depth::serve::store::{self, FsyncPolicy};
+use fo4depth::serve::store;
 use fo4depth::serve::{ServeConfig, Server};
 use fo4depth::study::adaptive::AdaptiveConfig;
 use fo4depth::study::experiments::registry;
@@ -77,8 +77,7 @@ fn usage() -> ExitCode {
                   emit a machine-readable JSON run report (counters + CPI stacks)\n\
            serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
                  [--cell-cache N] [--max-body BYTES] [--timeout-ms N]\n\
-                 [--deadline-ms N] [--cache-dir DIR] [--fsync always|batch|off]\n\
-                 [--jobs N]\n\
+                 [--deadline-ms N] [--cache-dir DIR] [--jobs N]\n\
                   run the HTTP simulation service (caching, coalescing,\n\
                   backpressure; SIGTERM drains and exits); --cache-dir\n\
                   persists cell outcomes across restarts\n\
@@ -602,13 +601,6 @@ fn serve_config_from(args: &mut Args) -> Result<ServeConfig, ArgError> {
     }
     if let Some(dir) = args.take_opt::<String>("--cache-dir")? {
         config.cache_dir = Some(std::path::PathBuf::from(dir));
-    }
-    if let Some(policy) = args.take_opt::<String>("--fsync")? {
-        config.fsync = FsyncPolicy::parse(&policy).ok_or_else(|| {
-            ArgError(format!(
-                "unknown fsync policy {policy}; expected always, batch, or off"
-            ))
-        })?;
     }
     Ok(config)
 }

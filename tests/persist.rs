@@ -20,8 +20,8 @@ use common::{
 use fo4depth::fo4::Fo4;
 use fo4depth::serve::api::{Engine, RequestLimits, SweepRequest};
 use fo4depth::serve::store::{
-    self, decode_outcome, decode_record, encode_record, CellStore, FsyncPolicy, InjectedFault,
-    ScriptedFaults, StoreConfig, LOG_FILE,
+    self, decode_outcome, decode_record, encode_record, CellStore, InjectedFault, ScriptedFaults,
+    StoreConfig, LOG_FILE,
 };
 use fo4depth::serve::ServeConfig;
 use fo4depth::study::report;
@@ -55,10 +55,7 @@ fn warm_restart_serves_identical_bytes_without_resimulating() {
     let cold_body;
     let dir;
     {
-        let mut server = start_with_cache_dir(ServeConfig {
-            fsync: FsyncPolicy::Always,
-            ..ServeConfig::default()
-        });
+        let mut server = start_with_cache_dir(ServeConfig::default());
         let cold = post(server.addr, "/v1/report", BODY);
         assert_eq!(cold.status, 200, "body: {}", cold.body);
         cold_body = cold.body;
@@ -96,10 +93,7 @@ fn corrupt_tail_is_dropped_counted_and_survived() {
     let cold_body;
     let dir;
     {
-        let mut server = start_with_cache_dir(ServeConfig {
-            fsync: FsyncPolicy::Always,
-            ..ServeConfig::default()
-        });
+        let mut server = start_with_cache_dir(ServeConfig::default());
         let cold = post(server.addr, "/v1/report", BODY);
         assert_eq!(cold.status, 200);
         cold_body = cold.body;
@@ -142,8 +136,6 @@ impl Daemon {
                 "127.0.0.1:0",
                 "--cache-dir",
                 &cache_dir.display().to_string(),
-                "--fsync",
-                "always",
             ])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -188,7 +180,7 @@ fn sigkilled_daemon_restarts_warm_with_byte_identical_responses() {
     let first = Daemon::spawn(dir.path());
     let cold = post(first.addr, "/v1/report", BODY);
     assert_eq!(cold.status, 200, "body: {}", cold.body);
-    // `--fsync always`: once counted as appended, the record is durable.
+    // Once counted as appended, a record is synced to disk.
     wait_for_counter(first.addr, &["caches", "persistent", "appended"], CELLS);
     first.kill_dash_nine();
 
@@ -231,7 +223,7 @@ fn cache_stat_breaks_cells_down_by_core_and_benchmark() {
             r#"{"core":"inorder","benchmarks":["181.mcf"],"points":[6],"warmup":1000,"measure":4000}"#,
         );
         assert_eq!(inorder.status, 200, "body: {}", inorder.body);
-        // `--fsync always`: appended counts are durable.
+        // Appended counts are synced to disk.
         wait_for_counter(
             daemon.addr,
             &["caches", "persistent", "appended"],
@@ -275,9 +267,8 @@ fn injected_faults_degrade_to_memory_only_with_correct_responses() {
     faults.script_append(Some(InjectedFault::Error(std::io::ErrorKind::StorageFull)));
     faults.script_truncate(Some(std::io::ErrorKind::Other));
 
-    let mut config = StoreConfig::new(dir.path());
-    config.fsync = FsyncPolicy::Always;
-    let cell_store = Arc::new(CellStore::open(config, faults).expect("open store"));
+    let cell_store =
+        Arc::new(CellStore::open(StoreConfig::new(dir.path()), faults).expect("open store"));
     let engine = Engine::with_store(4, 16, 4, Some(Arc::clone(&cell_store)));
 
     let req = SweepRequest::from_json(
