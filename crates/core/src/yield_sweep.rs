@@ -280,7 +280,7 @@ impl<'a> YieldPlan<'a> {
     /// The plan-order cell index ranges of grid point `index`:
     /// `(nominal cells, sample cells)`. The two ranges are disjoint (the
     /// nominal grid leads the plan), so an executor can resolve one grid
-    /// point at a time — the streamed `/v1/yield` delivery rides this.
+    /// point at a time — the serve engine's `/v1/yield` rounds ride this.
     #[must_use]
     pub fn point_ranges(&self, index: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
         let benches = self.spec.profiles.len();
@@ -393,18 +393,24 @@ impl<'a> YieldPlan<'a> {
     #[must_use]
     pub fn assemble(&self, outcomes: Vec<BenchOutcome>) -> YieldSweep {
         assert_eq!(outcomes.len(), self.cells.len(), "one outcome per cell");
-        let mut nominal_points = Vec::with_capacity(self.spec.points.len());
-        let mut points = Vec::with_capacity(self.spec.points.len());
-        for i in 0..self.spec.points.len() {
-            let (nominal_range, sample_range) = self.point_ranges(i);
-            let (nominal_point, point) = self.assemble_point(
-                i,
-                outcomes[nominal_range].to_vec(),
-                outcomes[sample_range].to_vec(),
-            );
-            nominal_points.push(nominal_point);
-            points.push(point);
-        }
+        let benches = self.spec.profiles.len();
+        let per_point = self.dies.len() * benches;
+        // Plan order: the nominal grid first, then each point's samples.
+        let mut outcomes = outcomes.into_iter();
+        let nominal: Vec<Vec<BenchOutcome>> = self
+            .spec
+            .points
+            .iter()
+            .map(|_| outcomes.by_ref().take(benches).collect())
+            .collect();
+        let (nominal_points, points) = nominal
+            .into_iter()
+            .enumerate()
+            .map(|(i, nominal)| {
+                let samples = outcomes.by_ref().take(per_point).collect();
+                self.assemble_point(i, nominal, samples)
+            })
+            .unzip();
         self.finish(nominal_points, points)
     }
 }

@@ -181,19 +181,9 @@ fn head_fragment(req: &SweepRequest, schema: u64) -> String {
         ("schema_version", Json::uint(schema)),
         ("core", Json::str(core_key(req.core))),
         ("overhead_fo4", Json::Num(req.overhead.get())),
-        (
-            "params",
-            Json::obj(vec![
-                ("warmup", Json::uint(req.params.warmup)),
-                ("measure", Json::uint(req.params.measure)),
-                ("seed", Json::uint(req.params.seed)),
-            ]),
-        ),
+        ("params", params_json(&req.params)),
     ]);
-    let mut out = head.pretty_fragment(0);
-    out.truncate(out.len() - 2); // reopen the object: drop "\n}"
-    out.push_str(",\n  \"points\": [");
-    out
+    open_points(&head)
 }
 
 /// One per-class BIPS summary point of the `/v1/sweep` document.
@@ -218,16 +208,6 @@ fn point_summary_json(p: &SweepPoint) -> Json {
     ])
 }
 
-/// One point as an array element (separator included for all but the
-/// first).
-fn point_fragment(p: &SweepPoint, first: bool) -> String {
-    format!(
-        "{}\n    {}",
-        if first { "" } else { "," },
-        point_summary_json(p).pretty_fragment(2)
-    )
-}
-
 /// The per-class optima over a (possibly probed-subset) sweep.
 fn optima_json(sweep: &DepthSweep) -> Json {
     let mut optima = Vec::new();
@@ -250,10 +230,42 @@ fn tail_fragment(optima: Json, adaptive: Option<Json>) -> String {
     if let Some(stats) = adaptive {
         pairs.push(("adaptive".to_string(), stats));
     }
-    let rendered = Json::Obj(pairs).pretty_fragment(0);
-    // Close the points array, then splice the tail object's members in
-    // (everything after its opening brace, which already ends "\n}").
+    close_points(&Json::Obj(pairs))
+}
+
+/// The document head rendered up to an open `points` array: the object
+/// is reopened (its closing "\n}" dropped) and the array started.
+fn open_points(head: &Json) -> String {
+    let mut out = head.pretty_fragment(0);
+    out.truncate(out.len() - 2);
+    out.push_str(",\n  \"points\": [");
+    out
+}
+
+/// One point as an array element (separator included for all but the
+/// first).
+fn element_fragment(point: &Json, first: bool) -> String {
+    format!(
+        "{}\n    {}",
+        if first { "" } else { "," },
+        point.pretty_fragment(2)
+    )
+}
+
+/// Closes the `points` array, then splices the tail object's members in
+/// (everything after its opening brace, which already ends "\n}").
+fn close_points(tail: &Json) -> String {
+    let rendered = tail.pretty_fragment(0);
     format!("\n  ],{}\n", &rendered[1..])
+}
+
+/// The `params` block every document carries.
+fn params_json(params: &SimParams) -> Json {
+    Json::obj(vec![
+        ("warmup", Json::uint(params.warmup)),
+        ("measure", Json::uint(params.measure)),
+        ("seed", Json::uint(params.seed)),
+    ])
 }
 
 /// Shared field readers over the request object.
@@ -1063,14 +1075,7 @@ fn yield_head_fragment(req: &YieldRequest) -> String {
         ("schema_version", Json::uint(1)),
         ("core", Json::str(core_key(req.core))),
         ("overhead_fo4", Json::Num(req.overhead.get())),
-        (
-            "params",
-            Json::obj(vec![
-                ("warmup", Json::uint(req.params.warmup)),
-                ("measure", Json::uint(req.params.measure)),
-                ("seed", Json::uint(req.params.seed)),
-            ]),
-        ),
+        ("params", params_json(&req.params)),
         (
             "variation",
             Json::obj(vec![
@@ -1085,10 +1090,7 @@ fn yield_head_fragment(req: &YieldRequest) -> String {
             ]),
         ),
     ]);
-    let mut out = head.pretty_fragment(0);
-    out.truncate(out.len() - 2); // reopen the object: drop "\n}"
-    out.push_str(",\n  \"points\": [");
-    out
+    open_points(&head)
 }
 
 /// One yield point of the `/v1/yield` document.
@@ -1102,15 +1104,6 @@ fn yield_point_json(p: &YieldPoint) -> Json {
         ("ywbips_mc", Json::Num(p.ywbips_mc)),
         ("ywbips_fast", Json::Num(p.ywbips_fast)),
     ])
-}
-
-/// One yield point as an array element.
-fn yield_point_fragment(p: &YieldPoint, first: bool) -> String {
-    format!(
-        "{}\n    {}",
-        if first { "" } else { "," },
-        yield_point_json(p).pretty_fragment(2)
-    )
 }
 
 /// The terminal yield fragment: optima (nominal, MC, fast) + agreement.
@@ -1139,8 +1132,7 @@ fn yield_tail_fragment(sweep: &YieldSweep) -> String {
             ]),
         ),
     ]);
-    let rendered = tail.pretty_fragment(0);
-    format!("\n  ],{}\n", &rendered[1..])
+    close_points(&tail)
 }
 
 /// Live counters for the `/metrics` document's `yield` section.
@@ -1284,40 +1276,9 @@ impl Engine {
         })
     }
 
-    /// One cell's outcome, simulated at most once per *store* lifetime:
-    /// an LRU miss first consults the persistent tier (which re-verifies
-    /// checksums on read), and only a disk miss materializes the trace
-    /// arena and simulates. Freshly simulated outcomes are queued for
-    /// persistence write-behind; the caller never waits on the disk.
-    fn outcome(&self, cell: &CellSpec) -> Arc<BenchOutcome> {
-        // Router mode: a single cell is a scatter of one — the owning
-        // shard simulates, this process only places the result.
-        if self.upstream.is_some() {
-            let mut outcomes = self.fill_cells(std::slice::from_ref(cell));
-            return Arc::new(outcomes.pop().expect("one outcome per cell"));
-        }
-        let fingerprint = cell.fingerprint();
-        self.cells.get_or_compute_tiered(
-            fingerprint,
-            || {
-                self.store
-                    .as_ref()
-                    .and_then(|s| s.load(fingerprint))
-                    .map(Arc::new)
-            },
-            || {
-                let arena = self.arena(&cell.profile, &cell.params);
-                let outcome = Arc::new(cell.run(&self.structures, &arena));
-                if let Some(store) = &self.store {
-                    store.put_tagged(fingerprint, Some(cell.core), &outcome);
-                }
-                outcome
-            },
-        )
-    }
-
     /// Runs (or recalls) every cell of a sweep and reassembles the
-    /// [`DepthSweep`](fo4depth_study::sweep::DepthSweep).
+    /// [`DepthSweep`](fo4depth_study::sweep::DepthSweep): the whole grid
+    /// as one [`Self::fill_cells`] call.
     ///
     /// Warm cells come from the LRU (or read through from the persistent
     /// tier); the cold remainder is grouped by benchmark and simulated
@@ -1326,25 +1287,16 @@ impl Engine {
     /// lane-batched pass over the benchmark's shared arena.
     /// Batched and per-cell fills are bit-identical (the
     /// `tests/batched_equivalence.rs` harness pins this), so a sweep
-    /// freely mixes cells warmed by the per-cell `/v1/run` path with cold
-    /// batched fills, and the result is byte-identical to the offline
-    /// `depth_sweep_*` path at any pool size.
+    /// freely mixes cells filled by any earlier request, a one-cell
+    /// `/v1/run` included, and the result is byte-identical to the
+    /// offline `depth_sweep_*` path at any pool size.
     ///
     /// Single-flight coalescing of *identical* requests still happens at
     /// the response tier; two *distinct* concurrent requests overlapping
     /// on a cold cell may both simulate it (the install is idempotent) —
     /// a deliberate trade for the batched fill's shared-arena pass.
     pub fn sweep(&self, req: &SweepRequest, observed: bool) -> DepthSweep {
-        let cells = req.cells(observed);
-        let outcomes = self.fill_cells(&cells);
-        assemble_sweep(
-            req.core,
-            &self.structures,
-            req.overhead,
-            &req.points,
-            req.profiles.len(),
-            outcomes,
-        )
+        self.points_at(req, observed, &(0..req.points.len()).collect::<Vec<_>>())
     }
 
     /// Installs one already-computed outcome by fingerprint into the
@@ -1371,7 +1323,10 @@ impl Engine {
     }
 
     /// Resolves every cell through the cache tiers, simulating only the
-    /// cold remainder, and returns the outcomes positionally.
+    /// cold remainder, and returns the outcomes positionally. This is the
+    /// one walk of the tier order — LRU, persistent store, shard ring
+    /// (router mode), local simulation — and every endpoint resolves its
+    /// cells here, a `/v1/run` as a list of one.
     ///
     /// Cells are first collapsed to one per fingerprint
     /// ([`DistinctCells`]): cells whose clock points scale to the same
@@ -1384,11 +1339,11 @@ impl Engine {
     /// down past the retry budget) fall through to local simulation, so
     /// a routed sweep degrades to single-node behaviour rather than
     /// failing.
-    pub fn fill_cells(&self, cells: &[CellSpec]) -> Vec<BenchOutcome> {
+    pub fn fill_cells(&self, cells: &[CellSpec]) -> Vec<Arc<BenchOutcome>> {
         let distinct = DistinctCells::of(cells);
         let reps: Vec<&CellSpec> = distinct.firsts().iter().map(|&i| &cells[i]).collect();
         // Probe pass: LRU first (counting the hit/miss), then the
-        // persistent tier, mirroring `outcome`'s tiering.
+        // persistent tier.
         let mut outcomes: Vec<Option<Arc<BenchOutcome>>> = distinct
             .fingerprints()
             .iter()
@@ -1416,11 +1371,11 @@ impl Engine {
             }
         }
         self.fill_local(&reps, distinct.fingerprints(), &mut outcomes);
-        distinct
-            .fan_out(&outcomes)
+        let outcomes: Vec<Arc<BenchOutcome>> = outcomes
             .into_iter()
-            .map(|o| (*o.expect("every cell probed, fetched, or batch-filled")).clone())
-            .collect()
+            .map(|o| o.expect("every cell probed, fetched, or batch-filled"))
+            .collect();
+        distinct.fan_out(&outcomes)
     }
 
     /// Simulates every still-unresolved cell locally, one
@@ -1466,9 +1421,9 @@ impl Engine {
     }
 
     /// Simulates (or recalls) a subset of a sweep's grid points, given by
-    /// dense-grid index, through the same cache tiers as [`Self::sweep`].
-    /// One [`SweepPoint`] per requested index, in request order.
-    fn points_at(&self, req: &SweepRequest, observed: bool, indices: &[usize]) -> Vec<SweepPoint> {
+    /// dense-grid index, as one [`Self::fill_cells`] call. The sweep holds
+    /// one point per requested index, in request order.
+    fn points_at(&self, req: &SweepRequest, observed: bool, indices: &[usize]) -> DepthSweep {
         let points: Vec<Fo4> = indices.iter().map(|&i| req.points[i]).collect();
         let cells = sweep_cells(
             req.core,
@@ -1479,7 +1434,11 @@ impl Engine {
             observed,
             STRUCTURES_TAG,
         );
-        let outcomes = self.fill_cells(&cells);
+        let outcomes = self
+            .fill_cells(&cells)
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
+            .collect();
         assemble_sweep(
             req.core,
             &self.structures,
@@ -1488,17 +1447,17 @@ impl Engine {
             req.profiles.len(),
             outcomes,
         )
-        .points
     }
 
     /// The adaptive counterpart of [`Self::sweep`]: drives an
-    /// [`AdaptivePlanner`] round loop through the cell tiers, so probed
-    /// cells land in (and reuse) the same content-addressed cache as
-    /// dense sweeps and `/v1/run` — an adaptive pass warms its dense
-    /// twin and vice versa. `on_point` fires once per probed point, in
-    /// probe order, the moment that point's cells complete (the
-    /// streaming hook). Counting is planner-relative: `cells_simulated`
-    /// is what the plan *requested*; cache hits make it cheaper still.
+    /// [`AdaptivePlanner`] through [`resolve_rounds`], one round per
+    /// planner batch, so probed cells land in (and reuse) the same
+    /// content-addressed cache as dense sweeps and `/v1/run` — an
+    /// adaptive pass warms its dense twin and vice versa. `on_point`
+    /// fires once per probed point, in probe order, the moment that
+    /// point's cells complete (the streaming hook). Counting is
+    /// planner-relative: `cells_simulated` is what the plan *requested*;
+    /// cache hits make it cheaper still.
     fn adaptive_sweep(
         &self,
         req: &SweepRequest,
@@ -1507,24 +1466,20 @@ impl Engine {
         on_point: &mut dyn FnMut(usize, &SweepPoint),
     ) -> AdaptiveSweep {
         let mut planner = AdaptivePlanner::new(&req.points, req.core, req.overhead, config);
-        let mut slots: Vec<Option<SweepPoint>> = vec![None; req.points.len()];
-        loop {
-            let batch = planner.next_batch();
-            if batch.is_empty() {
-                break;
-            }
-            let round = self.points_at(req, observed, &batch);
-            for (&pi, point) in batch.iter().zip(round) {
-                let merit = summarize(&point.outcomes, None, point.period_ps)
-                    .expect("benchmarks present")
-                    .bips;
-                planner.record(pi, merit);
-                on_point(pi, &point);
-                slots[pi] = Some(point);
-            }
-        }
+        let points = resolve_rounds(
+            |done: &[(usize, SweepPoint)]| {
+                for (pi, point) in done {
+                    let merit = summarize(&point.outcomes, None, point.period_ps)
+                        .expect("benchmarks present")
+                        .bips;
+                    planner.record(*pi, merit);
+                }
+                planner.next_batch()
+            },
+            |round| self.points_at(req, observed, round).points,
+            on_point,
+        );
         let stats = planner.stats();
-        let points: Vec<SweepPoint> = slots.into_iter().flatten().collect();
         let cells_simulated = points.len() * req.profiles.len();
         let cells_dense = req.points.len() * req.profiles.len();
         self.sweeps.adaptive.fetch_add(1, Ordering::Relaxed);
@@ -1562,12 +1517,18 @@ impl Engine {
             })
     }
 
+    /// The buffered body of a fragment-bodied request, single-flighted
+    /// through the response tier.
+    pub fn summary<R: FragmentedRequest>(&self, req: &R) -> Arc<String> {
+        self.responses.get_or_compute(req.response_key(), || {
+            Arc::new(req.render(self, false, &mut |_| {}))
+        })
+    }
+
     /// `POST /v1/sweep` — the compact BIPS-curve summary (per-class
     /// series and optima, no per-benchmark counter blocks).
     pub fn sweep_summary(&self, req: &SweepRequest) -> Arc<String> {
-        self.responses.get_or_compute(req.fingerprint("sweep"), || {
-            Arc::new(self.sweep_body(req, false, &mut |_| {}))
-        })
+        self.summary(req)
     }
 
     /// Renders the `/v1/sweep` body as an ordered fragment sequence —
@@ -1590,63 +1551,46 @@ impl Engine {
         progressive: bool,
         emit: &mut dyn FnMut(&str),
     ) -> String {
-        fn push(body: &mut String, emit: &mut dyn FnMut(&str), frag: &str) {
-            body.push_str(frag);
-            emit(frag);
-        }
         let mut body = String::new();
-        match &req.adaptive {
+        let schema = if req.adaptive.is_some() { 2 } else { 1 };
+        push(&mut body, emit, &head_fragment(req, schema));
+        let mut on_point = |k: usize, point: &SweepPoint| {
+            push(
+                &mut body,
+                emit,
+                &element_fragment(&point_summary_json(point), k == 0),
+            );
+        };
+        let tail = match &req.adaptive {
             None => {
-                push(&mut body, emit, &head_fragment(req, 1));
-                let sweep = if progressive {
-                    let mut points = Vec::with_capacity(req.points.len());
-                    for i in 0..req.points.len() {
-                        let mut round = self.points_at(req, false, &[i]);
-                        let point = round.pop().expect("one point per index");
-                        push(&mut body, emit, &point_fragment(&point, i == 0));
-                        points.push(point);
-                    }
-                    DepthSweep {
-                        core: req.core,
-                        overhead: req.overhead.get(),
-                        points,
-                    }
-                } else {
-                    let sweep = self.sweep(req, false);
-                    for (i, point) in sweep.points.iter().enumerate() {
-                        push(&mut body, emit, &point_fragment(point, i == 0));
-                    }
-                    sweep
+                let points = resolve_rounds(
+                    grid_rounds(req.points.len(), progressive),
+                    |round| self.points_at(req, false, round).points,
+                    &mut on_point,
+                );
+                let sweep = DepthSweep {
+                    core: req.core,
+                    overhead: req.overhead.get(),
+                    points,
                 };
-                push(&mut body, emit, &tail_fragment(optima_json(&sweep), None));
+                tail_fragment(optima_json(&sweep), None)
             }
             Some(cfg) => {
-                push(&mut body, emit, &head_fragment(req, 2));
-                let a = {
-                    let body = &mut body;
-                    let emit = &mut *emit;
-                    let mut emitted = 0usize;
-                    self.adaptive_sweep(req, false, cfg, &mut |_pi, point| {
-                        let frag = point_fragment(point, emitted == 0);
-                        body.push_str(&frag);
-                        emit(&frag);
-                        emitted += 1;
-                    })
-                };
-                push(
-                    &mut body,
-                    emit,
-                    &tail_fragment(optima_json(&a.sweep), Some(report::adaptive_stats_json(&a))),
-                );
+                let a = self.adaptive_sweep(req, false, cfg, &mut on_point);
+                tail_fragment(optima_json(&a.sweep), Some(report::adaptive_stats_json(&a)))
             }
-        }
+        };
+        push(&mut body, emit, &tail);
         body
     }
 
     /// `POST /v1/run` — one benchmark at one clock point.
     pub fn run(&self, req: &RunRequest) -> Arc<String> {
         self.responses.get_or_compute(req.fingerprint(), || {
-            let outcome = self.outcome(&req.cell());
+            let outcome = self
+                .fill_cells(&[req.cell()])
+                .pop()
+                .expect("one outcome per cell");
             let machine = fo4depth_study::scaler::ScaledMachine::at(
                 &self.structures,
                 req.t_useful,
@@ -1659,25 +1603,10 @@ impl Engine {
                 ("t_useful", Json::Num(req.t_useful.get())),
                 ("period_ps", Json::Num(period_ps)),
                 ("overhead_fo4", Json::Num(req.overhead.get())),
-                (
-                    "params",
-                    Json::obj(vec![
-                        ("warmup", Json::uint(req.params.warmup)),
-                        ("measure", Json::uint(req.params.measure)),
-                        ("seed", Json::uint(req.params.seed)),
-                    ]),
-                ),
+                ("params", params_json(&req.params)),
                 ("benchmark", report::outcome_json(&outcome, period_ps)),
             ]);
             Arc::new(doc.pretty())
-        })
-    }
-
-    /// `POST /v1/yield`, buffered: the full yield-aware sweep document,
-    /// single-flighted through the response tier.
-    pub fn yield_summary(&self, req: &YieldRequest) -> Arc<String> {
-        self.responses.get_or_compute(req.fingerprint(), || {
-            Arc::new(self.yield_body(req, false, &mut |_| {}))
         })
     }
 
@@ -1685,9 +1614,10 @@ impl Engine {
     /// the same contract as [`Self::sweep_body`]: streamed and buffered
     /// responses are byte-identical by construction, and the assembled
     /// bytes are the canonical [`Json::pretty`] rendering of the
-    /// document. `progressive` resolves the grid one point at a time
-    /// (that point's nominal *and* Monte Carlo cells in one fill), so the
-    /// first fragment leaves before the whole population has simulated.
+    /// document. Each round resolves its points' nominal *and* Monte
+    /// Carlo cells in one fill; `progressive` makes every point its own
+    /// round, so the first fragment leaves before the whole population
+    /// has simulated.
     ///
     /// Every cell — nominal and Monte Carlo sample alike — resolves
     /// through [`Self::fill_cells`]: the LRU, the persistent tier, and in
@@ -1716,41 +1646,155 @@ impl Engine {
             .expect("variation validated at request parse");
         self.yields.record_sweep(plan.sample_cells() as u64);
 
-        fn push(body: &mut String, emit: &mut dyn FnMut(&str), frag: &str) {
-            body.push_str(frag);
-            emit(frag);
-        }
         let mut body = String::new();
         push(&mut body, emit, &yield_head_fragment(req));
-        let sweep = if progressive {
-            let mut nominal_points = Vec::with_capacity(req.points.len());
-            let mut points = Vec::with_capacity(req.points.len());
-            for i in 0..req.points.len() {
-                let (nominal_range, sample_range) = plan.point_ranges(i);
-                let nominal_count = nominal_range.len();
-                let round: Vec<CellSpec> = plan.cells()[nominal_range]
+        let assembled = resolve_rounds(
+            grid_rounds(req.points.len(), progressive),
+            |round| {
+                let ranges: Vec<_> = round.iter().map(|&i| plan.point_ranges(i)).collect();
+                let cells: Vec<CellSpec> = ranges
                     .iter()
-                    .chain(&plan.cells()[sample_range])
+                    .flat_map(|(nominal, samples)| {
+                        plan.cells()[nominal.clone()]
+                            .iter()
+                            .chain(&plan.cells()[samples.clone()])
+                    })
                     .cloned()
                     .collect();
-                let mut outcomes = self.fill_cells(&round);
-                let sample_outcomes = outcomes.split_off(nominal_count);
-                let (nominal_point, point) = plan.assemble_point(i, outcomes, sample_outcomes);
-                push(&mut body, emit, &yield_point_fragment(&point, i == 0));
-                nominal_points.push(nominal_point);
-                points.push(point);
-            }
-            plan.finish(nominal_points, points)
-        } else {
-            let outcomes = self.fill_cells(plan.cells());
-            let sweep = plan.assemble(outcomes);
-            for (i, point) in sweep.points.iter().enumerate() {
-                push(&mut body, emit, &yield_point_fragment(point, i == 0));
-            }
-            sweep
-        };
+                let mut outcomes = self
+                    .fill_cells(&cells)
+                    .into_iter()
+                    .map(Arc::unwrap_or_clone);
+                round
+                    .iter()
+                    .zip(ranges)
+                    .map(|(&i, (nominal, samples))| {
+                        let nominal = outcomes.by_ref().take(nominal.len()).collect();
+                        let samples = outcomes.by_ref().take(samples.len()).collect();
+                        plan.assemble_point(i, nominal, samples)
+                    })
+                    .collect()
+            },
+            &mut |k, (_, point): &(SweepPoint, YieldPoint)| {
+                push(
+                    &mut body,
+                    emit,
+                    &element_fragment(&yield_point_json(point), k == 0),
+                );
+            },
+        );
+        let (nominal_points, points) = assembled.into_iter().unzip();
+        let sweep = plan.finish(nominal_points, points);
         push(&mut body, emit, &yield_tail_fragment(&sweep));
         body
+    }
+}
+
+/// Appends one fragment to the body and hands it to `emit`.
+fn push(body: &mut String, emit: &mut dyn FnMut(&str), frag: &str) {
+    body.push_str(frag);
+    emit(frag);
+}
+
+/// The one round loop behind every sweep-shaped body — dense (buffered
+/// or progressive), adaptive, and yield — and the adaptive report.
+///
+/// `next_round` names the dense-grid indices to resolve together. It
+/// sees the previous round's `(index, point)` pairs (none at the start),
+/// so a planner can steer, and an empty round ends the loop. `resolve`
+/// turns a round into one point per index, and `on_point` sees each
+/// point with its delivery position the moment its round completes — the
+/// streaming hook. Returns the points in grid order.
+fn resolve_rounds<P>(
+    mut next_round: impl FnMut(&[(usize, P)]) -> Vec<usize>,
+    mut resolve: impl FnMut(&[usize]) -> Vec<P>,
+    on_point: &mut dyn FnMut(usize, &P),
+) -> Vec<P> {
+    let mut done: Vec<(usize, P)> = Vec::new();
+    let mut start = 0;
+    loop {
+        let round = next_round(&done[start..]);
+        if round.is_empty() {
+            break;
+        }
+        start = done.len();
+        for (&i, point) in round.iter().zip(resolve(&round)) {
+            on_point(done.len(), &point);
+            done.push((i, point));
+        }
+    }
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, point)| point).collect()
+}
+
+/// The dense schedule for [`resolve_rounds`]: the whole grid as one
+/// round, or one round per index when `progressive`, so the first point
+/// leaves before the grid completes.
+fn grid_rounds<P>(len: usize, progressive: bool) -> impl FnMut(&[(usize, P)]) -> Vec<usize> {
+    let step = if progressive { 1 } else { len };
+    let mut next = 0;
+    move |_| {
+        let round = (next..len.min(next + step)).collect();
+        next += step;
+        round
+    }
+}
+
+/// A request whose body is an ordered fragment sequence — `/v1/sweep`
+/// and `/v1/yield`. The server delivers it buffered through the response
+/// tier ([`Engine::summary`]) or streamed one chunk per fragment, and the
+/// two are the same bytes.
+pub trait FragmentedRequest: Sized {
+    /// Validates a parsed request body into canonical form.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ApiError`] naming the offending field.
+    fn parse(doc: &Json, limits: &RequestLimits) -> Result<Self, ApiError>;
+    /// Whether the client asked for chunked delivery.
+    fn stream(&self) -> bool;
+    /// The response-tier key of the rendered body. `stream` is not part
+    /// of it, so a streamed body warms its buffered twin.
+    fn response_key(&self) -> u64;
+    /// Renders the body, pushing each fragment through `emit`.
+    fn render(&self, engine: &Engine, progressive: bool, emit: &mut dyn FnMut(&str)) -> String;
+    /// Counts one finished streamed response of `chunks` data chunks.
+    fn record_stream(engine: &Engine, chunks: u64);
+}
+
+impl FragmentedRequest for SweepRequest {
+    fn parse(doc: &Json, limits: &RequestLimits) -> Result<Self, ApiError> {
+        Self::from_json(doc, limits)
+    }
+    fn stream(&self) -> bool {
+        self.stream
+    }
+    fn response_key(&self) -> u64 {
+        self.fingerprint("sweep")
+    }
+    fn render(&self, engine: &Engine, progressive: bool, emit: &mut dyn FnMut(&str)) -> String {
+        engine.sweep_body(self, progressive, emit)
+    }
+    fn record_stream(engine: &Engine, chunks: u64) {
+        engine.sweeps.record_stream(chunks);
+    }
+}
+
+impl FragmentedRequest for YieldRequest {
+    fn parse(doc: &Json, limits: &RequestLimits) -> Result<Self, ApiError> {
+        Self::from_json(doc, limits)
+    }
+    fn stream(&self) -> bool {
+        self.stream
+    }
+    fn response_key(&self) -> u64 {
+        self.fingerprint()
+    }
+    fn render(&self, engine: &Engine, progressive: bool, emit: &mut dyn FnMut(&str)) -> String {
+        engine.yield_body(self, progressive, emit)
+    }
+    fn record_stream(engine: &Engine, chunks: u64) {
+        engine.yields.record_stream(chunks);
     }
 }
 
@@ -2179,9 +2223,9 @@ mod tests {
         assert_eq!(engine.yields.mc_samples.load(Ordering::Relaxed), 2 * 2 * 4);
 
         // A repeat through the single-flight summary path is pure cache.
-        let first = engine.yield_summary(&req);
+        let first = engine.summary(&req);
         assert_eq!(*first.as_ref(), buffered);
-        let again = engine.yield_summary(&req);
+        let again = engine.summary(&req);
         assert_eq!(first, again);
         assert_eq!(
             engine.cells.stats().misses,

@@ -45,8 +45,8 @@ use std::time::{Duration, Instant};
 use fo4depth_util::{Json, JsonLimits};
 
 use api::{
-    ApiError, CellsRequest, Engine, RequestLimits, RingRequest, RunRequest, SweepRequest,
-    YieldRequest,
+    ApiError, CellsRequest, Engine, FragmentedRequest, RequestLimits, RingRequest, RunRequest,
+    SweepRequest, YieldRequest,
 };
 use http::{
     error_body, read_request, write_error, write_response, ChunkedWriter, HttpError, Request,
@@ -526,11 +526,11 @@ fn handle_connection(state: &State, stream: &mut TcpStream) {
         // During drain, answer the in-flight request but drop the
         // keep-alive so the connection (and its worker) winds down.
         let keep = request.keep_alive && !state.shutting_down();
-        // The sweep and cells endpoints own their own delivery: their
+        // The sweep, yield and cells endpoints own their delivery: their
         // bodies can leave as chunked fragments, which the buffered
         // `route` plumbing cannot express.
         let alive = if request.method == "POST" && request.path == "/v1/sweep" {
-            let (status, alive) = handle_sweep(state, stream, &request, keep);
+            let (status, alive) = handle_fragments::<SweepRequest>(state, stream, &request, keep);
             record(state, Endpoint::Sweep, status, started);
             alive
         } else if request.method == "POST" && request.path == "/v1/cells" {
@@ -538,7 +538,7 @@ fn handle_connection(state: &State, stream: &mut TcpStream) {
             record(state, Endpoint::Cells, status, started);
             alive
         } else if request.method == "POST" && request.path == "/v1/yield" {
-            let (status, alive) = handle_yield(state, stream, &request, keep);
+            let (status, alive) = handle_fragments::<YieldRequest>(state, stream, &request, keep);
             record(state, Endpoint::Yield, status, started);
             alive
         } else {
@@ -581,71 +581,22 @@ fn await_next_request(state: &State, stream: &TcpStream) -> bool {
     }
 }
 
-/// `POST /v1/sweep`, buffered or streamed. Returns the response status
-/// and whether the connection remains reusable.
-fn handle_sweep(
+/// `POST /v1/sweep` and `POST /v1/yield`, buffered or streamed. Returns
+/// the response status and whether the connection remains reusable.
+fn handle_fragments<R: FragmentedRequest>(
     state: &State,
     stream: &mut TcpStream,
     request: &Request,
     keep: bool,
 ) -> (u16, bool) {
+    let engine = &state.engine;
     let req = match parse_body(state, request)
-        .and_then(|doc| to_http(SweepRequest::from_json(&doc, &state.config.limits)))
-    {
-        Ok(req) => req,
-        Err(e) => {
-            write_error(stream, &e);
-            return (e.status, false);
-        }
-    };
-    if !req.stream {
-        let body = state.engine.sweep_summary(&req);
-        write_response(stream, 200, &[], body.as_bytes(), keep);
-        return (200, keep);
-    }
-    // Streamed delivery bypasses the response tier's single-flight (the
-    // point is progress, not deduplication — and the cell tier still
-    // dedups the actual simulation work underneath). The assembled body
-    // is installed into the response cache afterwards, so a streamed
-    // sweep warms its buffered twin: `stream` is excluded from the
-    // fingerprint and both render the same bytes.
-    let mut writer = ChunkedWriter::start(stream, 200, "application/json", keep);
-    let body = state.engine.sweep_body(&req, true, &mut |frag| {
-        writer.chunk(frag.as_bytes());
-    });
-    // Count the finished stream and warm the response tier before the
-    // terminator goes out: the instant the peer sees the end of the
-    // stream it may query /metrics or send the buffered twin, and both
-    // must already see the completed stream.
-    state.engine.sweeps.record_stream(writer.chunks());
-    if !writer.failed() {
-        state
-            .engine
-            .responses
-            .insert(req.fingerprint("sweep"), Arc::new(body));
-    }
-    let (_, finished) = writer.finish();
-    (200, keep && finished)
-}
-
-/// `POST /v1/yield`, buffered or streamed — the same delivery contract as
-/// `/v1/sweep`: the streamed fragment sequence concatenates to the
-/// buffered body byte for byte, and a delivered streamed body is
-/// installed into the response tier so it warms its buffered twin.
-fn handle_yield(
-    state: &State,
-    stream: &mut TcpStream,
-    request: &Request,
-    keep: bool,
-) -> (u16, bool) {
-    let req = match parse_body(state, request)
-        .and_then(|doc| to_http(YieldRequest::from_json(&doc, &state.config.limits)))
+        .and_then(|doc| to_http(R::parse(&doc, &state.config.limits)))
     {
         Ok(req) => req,
         Err(e) => {
             if e.code == "invalid_distribution" {
-                state
-                    .engine
+                engine
                     .yields
                     .invalid_distribution
                     .fetch_add(1, Ordering::Relaxed);
@@ -654,24 +605,27 @@ fn handle_yield(
             return (e.status, false);
         }
     };
-    if !req.stream {
-        let body = state.engine.yield_summary(&req);
+    if !req.stream() {
+        let body = engine.summary(&req);
         write_response(stream, 200, &[], body.as_bytes(), keep);
         return (200, keep);
     }
+    // Streamed delivery bypasses the response tier's single-flight (the
+    // point is progress, not deduplication — and the cell tier still
+    // dedups the actual simulation work underneath). The assembled body
+    // is installed into the response cache afterwards, so a streamed
+    // body warms its buffered twin.
     let mut writer = ChunkedWriter::start(stream, 200, "application/json", keep);
-    let body = state.engine.yield_body(&req, true, &mut |frag| {
+    let body = req.render(engine, true, &mut |frag| {
         writer.chunk(frag.as_bytes());
     });
-    // Same ordering as `handle_sweep`: record and cache before the
-    // terminator, so a peer that races straight to /metrics or to the
-    // buffered twin sees the finished stream.
-    state.engine.yields.record_stream(writer.chunks());
+    // Count the finished stream and warm the response tier before the
+    // terminator goes out: the instant the peer sees the end of the
+    // stream it may query /metrics or send the buffered twin, and both
+    // must already see the completed stream.
+    R::record_stream(engine, writer.chunks());
     if !writer.failed() {
-        state
-            .engine
-            .responses
-            .insert(req.fingerprint(), Arc::new(body));
+        engine.responses.insert(req.response_key(), Arc::new(body));
     }
     let (_, finished) = writer.finish();
     (200, keep && finished)

@@ -1,6 +1,7 @@
 //! Shared harness for the end-to-end service tests: a real server on an
 //! ephemeral port (optionally backed by a per-test persistent cache
-//! directory), plus a hand-rolled HTTP/1.1 client.
+//! directory), a `fo4depth serve` subprocess for what only the binary
+//! does (signals), plus a hand-rolled HTTP/1.1 client.
 //!
 //! Hygiene rules the harness enforces so `cargo test`'s parallel runners
 //! cannot interfere with each other:
@@ -15,9 +16,10 @@
 // uses a subset of it.
 #![allow(dead_code, unused_imports)]
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use fo4depth::serve::{ServeConfig, Server, ShutdownHandle};
@@ -92,6 +94,75 @@ impl Drop for TestServer {
             t.join().expect("server thread joins");
         }
         // `cache_dir` (if still owned) drops here, after the drain.
+    }
+}
+
+/// A `fo4depth serve` subprocess — the real binary, on an ephemeral port,
+/// stopped with SIGKILL on drop unless it already exited.
+pub struct Daemon {
+    child: Child,
+    pub addr: SocketAddr,
+}
+
+impl Daemon {
+    /// Starts `fo4depth serve`, backed by `cache_dir` when given, and
+    /// waits for its `listening on` line.
+    pub fn spawn(cache_dir: Option<&Path>) -> Daemon {
+        let mut args = vec!["serve".to_string(), "--addr".into(), "127.0.0.1:0".into()];
+        if let Some(dir) = cache_dir {
+            args.extend(["--cache-dir".to_string(), dir.display().to_string()]);
+        }
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fo4depth"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn fo4depth serve");
+        let stdout = child.stdout.take().expect("stdout piped");
+        let mut reader = BufReader::new(stdout);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read listening line");
+        let addr = line
+            .trim()
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
+            .parse()
+            .expect("bound address");
+        // Keep draining stdout so the daemon can never block on the pipe.
+        std::thread::spawn(move || {
+            let _ = std::io::copy(&mut reader, &mut std::io::sink());
+        });
+        Daemon { child, addr }
+    }
+
+    pub fn kill_dash_nine(mut self) {
+        self.child.kill().expect("SIGKILL");
+        self.child.wait().expect("reap");
+        // Disarm Drop's double-kill.
+        std::mem::forget(self);
+    }
+
+    /// Sends SIGTERM through `/bin/kill`, as an operator would, without
+    /// waiting for the drain.
+    pub fn sigterm(&self) {
+        let status = Command::new("/bin/kill")
+            .args(["-TERM", &self.child.id().to_string()])
+            .status()
+            .expect("run /bin/kill");
+        assert!(status.success(), "kill -TERM exited with {status}");
+    }
+
+    /// Waits for the daemon to exit and asserts it exited with status 0.
+    pub fn assert_clean_exit(mut self) {
+        let status = self.child.wait().expect("reap");
+        assert!(status.success(), "daemon exited with {status}");
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 

@@ -7,15 +7,13 @@
 
 mod common;
 
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
 use common::{
-    counter, metrics, post, restart_on_cache_dir, start_with_cache_dir, wait_for_counter,
+    counter, metrics, post, restart_on_cache_dir, start_with_cache_dir, wait_for_counter, Daemon,
 };
 use fo4depth::fo4::Fo4;
 use fo4depth::serve::api::{Engine, RequestLimits, SweepRequest};
@@ -89,6 +87,33 @@ fn warm_restart_serves_identical_bytes_without_resimulating() {
 }
 
 #[test]
+fn warm_restart_serves_a_run_from_the_persistent_tier() {
+    let run = r#"{"benchmark":"164.gzip","t_useful":5,"warmup":1000,"measure":4000}"#;
+    let cold_body;
+    let dir;
+    {
+        let mut server = start_with_cache_dir(ServeConfig::default());
+        let cold = post(server.addr, "/v1/run", run);
+        assert_eq!(cold.status, 200, "body: {}", cold.body);
+        cold_body = cold.body;
+        wait_for_counter(server.addr, &["caches", "persistent", "appended"], 1);
+        dir = server.take_cache_dir();
+    }
+
+    let server = restart_on_cache_dir(ServeConfig::default(), dir);
+    let warm = post(server.addr, "/v1/run", run);
+    assert_eq!(warm.status, 200, "body: {}", warm.body);
+    assert_eq!(warm.body, cold_body, "warm restart changed the bytes");
+    let m = metrics(server.addr);
+    assert_eq!(counter(&m, &["caches", "persistent", "hits"]), 1);
+    assert_eq!(
+        counter(&m, &["caches", "arenas", "misses"]),
+        0,
+        "a disk hit must not materialize a trace arena"
+    );
+}
+
+#[test]
 fn corrupt_tail_is_dropped_counted_and_survived() {
     let cold_body;
     let dir;
@@ -121,63 +146,11 @@ fn corrupt_tail_is_dropped_counted_and_survived() {
     assert_eq!(persisted(server.addr, "hits"), CELLS);
 }
 
-/// A `fo4depth serve` subprocess — the real binary, killable with SIGKILL.
-struct Daemon {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl Daemon {
-    fn spawn(cache_dir: &Path) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_fo4depth"))
-            .args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--cache-dir",
-                &cache_dir.display().to_string(),
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn fo4depth serve");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut reader = BufReader::new(stdout);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read listening line");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
-            .parse()
-            .expect("bound address");
-        // Keep draining stdout so the daemon can never block on the pipe.
-        std::thread::spawn(move || {
-            let _ = std::io::copy(&mut reader, &mut std::io::sink());
-        });
-        Daemon { child, addr }
-    }
-
-    fn kill_dash_nine(mut self) {
-        self.child.kill().expect("SIGKILL");
-        self.child.wait().expect("reap");
-        // Disarm Drop's double-kill.
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
 #[test]
 fn sigkilled_daemon_restarts_warm_with_byte_identical_responses() {
     let dir = TempDir::new("fo4depth-kill9").expect("scratch dir");
 
-    let first = Daemon::spawn(dir.path());
+    let first = Daemon::spawn(Some(dir.path()));
     let cold = post(first.addr, "/v1/report", BODY);
     assert_eq!(cold.status, 200, "body: {}", cold.body);
     // Once counted as appended, a record is synced to disk.
@@ -191,7 +164,7 @@ fn sigkilled_daemon_restarts_warm_with_byte_identical_responses() {
     bytes.extend_from_slice(torn);
     std::fs::write(&log, &bytes).expect("tear log");
 
-    let second = Daemon::spawn(dir.path());
+    let second = Daemon::spawn(Some(dir.path()));
     assert_eq!(persisted(second.addr, "recovered_entries"), CELLS);
     assert_eq!(persisted(second.addr, "dropped_bytes"), torn.len() as u64);
 
@@ -214,7 +187,7 @@ fn sigkilled_daemon_restarts_warm_with_byte_identical_responses() {
 fn cache_stat_breaks_cells_down_by_core_and_benchmark() {
     let dir = TempDir::new("fo4depth-cache-stat").expect("scratch dir");
     {
-        let daemon = Daemon::spawn(dir.path());
+        let daemon = Daemon::spawn(Some(dir.path()));
         let ooo = post(daemon.addr, "/v1/report", BODY);
         assert_eq!(ooo.status, 200, "body: {}", ooo.body);
         let inorder = post(

@@ -95,6 +95,35 @@ fn routed_sweeps_are_byte_identical_to_single_node() {
     );
 }
 
+/// A routed `/v1/run` is a scatter of one: the shard that owns the cell
+/// simulates it, the router only renders, and the bytes match a single
+/// node's.
+#[test]
+fn routed_run_simulates_on_the_owning_shard() {
+    let shard_a = start(ServeConfig::default());
+    let shard_b = start(ServeConfig::default());
+    let router = start_router(&[&shard_a, &shard_b]);
+    let single = start(ServeConfig::default());
+    let shard_misses =
+        || [&shard_a, &shard_b].map(|s| counter(&metrics(s.addr), &["caches", "cells", "misses"]));
+    let before = shard_misses();
+
+    let body = r#"{"benchmark":"181.mcf","t_useful":6.7,"warmup":400,"measure":1500,"seed":31}"#;
+    let routed = post(router.addr, "/v1/run", body);
+    let local = post(single.addr, "/v1/run", body);
+    assert_eq!(routed.status, 200, "body: {}", routed.body);
+    assert_eq!(routed.body, local.body, "routed run diverged");
+
+    let after = shard_misses();
+    let mut gained = [after[0] - before[0], after[1] - before[1]];
+    gained.sort_unstable();
+    assert_eq!(gained, [0, 1], "exactly the owning shard simulates");
+    assert_eq!(
+        counter(&metrics(router.addr), &["router", "local_fills"]),
+        0
+    );
+}
+
 #[test]
 fn router_fails_over_when_a_shard_dies() {
     let shard_a = start(ServeConfig::default());
@@ -242,7 +271,11 @@ fn gathered_records_place_out_of_order_duplicated_and_missing() {
     let reference = engine.sweep(&req, false);
 
     let cells = req.cells(false);
-    let outcomes = engine.fill_cells(&cells);
+    let outcomes: Vec<_> = engine
+        .fill_cells(&cells)
+        .iter()
+        .map(|o| (**o).clone())
+        .collect();
 
     // A hostile gather: records arrive in reverse order, the first two
     // are duplicated, one is withheld entirely, and a record for a
@@ -347,7 +380,7 @@ fn gather_fixture() -> &'static (Vec<CellSpec>, Vec<BenchOutcome>) {
         .expect("spec");
         let req = SweepRequest::from_json(&spec, &RequestLimits::default()).expect("valid spec");
         let cells = req.cells(false);
-        let outcomes = engine.fill_cells(&cells);
+        let outcomes: Vec<_> = engine.fill_cells(&cells).iter().map(|o| (**o).clone()).collect();
         (cells, outcomes)
     })
 }

@@ -14,7 +14,10 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use common::{counter, get, metrics, post, read_response, send, start, wait_for_counter, Response};
+use common::{
+    counter, get, metrics, post, read_response, send, start, wait_for_counter, Daemon, Response,
+    StreamingClient,
+};
 use fo4depth::fo4::Fo4;
 use fo4depth::serve::api::{ApiError, CellsRequest, RingRequest};
 use fo4depth::serve::ServeConfig;
@@ -111,10 +114,10 @@ fn overlapping_sweeps_reuse_shared_cells() {
     );
 }
 
-/// The scalar-fallback seam: cells warmed one at a time through the scalar
-/// `/v1/run` path and cells batch-filled by a later `/v1/report` sweep go
-/// through the same cell-granular code and are interchangeable — the
-/// mixed-provenance report is still byte-identical to the offline path.
+/// Cells filled one at a time by `/v1/run` and cells batch-filled by a
+/// later `/v1/report` sweep resolve through the same cell tiers and are
+/// interchangeable — the mixed-provenance report is still byte-identical
+/// to the offline path.
 #[test]
 fn report_mixes_run_warmed_scalar_cells_with_batched_fills() {
     let server = start(ServeConfig::default());
@@ -165,6 +168,85 @@ fn report_mixes_run_warmed_scalar_cells_with_batched_fills() {
         served.body, offline,
         "mixed scalar/batched cell fills diverged from the offline report"
     );
+}
+
+/// The reverse direction: a `/v1/run` at a point a sweep already filled
+/// is a cell hit, builds no arena, and renders the bytes a cold run does.
+#[test]
+fn run_after_a_sweep_reuses_its_cell() {
+    let server = start(ServeConfig::default());
+    let sweep = post(
+        server.addr,
+        "/v1/sweep",
+        r#"{"benchmarks":["164.gzip","181.mcf"],"points":[4,8],"warmup":1000,"measure":3000}"#,
+    );
+    assert_eq!(sweep.status, 200, "body: {}", sweep.body);
+    let cells = |m: &Json, key: &str| counter(m, &["caches", "cells", key]);
+    let before = metrics(server.addr);
+
+    let body = r#"{"benchmark":"181.mcf","t_useful":8,"warmup":1000,"measure":3000}"#;
+    let run = post(server.addr, "/v1/run", body);
+    assert_eq!(run.status, 200, "body: {}", run.body);
+    let after = metrics(server.addr);
+    assert_eq!(cells(&after, "hits"), cells(&before, "hits") + 1);
+    assert_eq!(cells(&after, "misses"), cells(&before, "misses"));
+    assert_eq!(
+        counter(&after, &["caches", "arenas", "misses"]),
+        counter(&before, &["caches", "arenas", "misses"]),
+        "a sweep-filled cell must not materialize an arena again"
+    );
+
+    let cold = post(start(ServeConfig::default()).addr, "/v1/run", body);
+    assert_eq!(run.body, cold.body, "sweep-filled run != cold run");
+}
+
+/// The daemon binary streams a sweep: the head chunk leaves before the
+/// sweep completes, the finished stream is counted, its bytes equal the
+/// buffered twin's, and a SIGTERM mid-stream still lets the stream finish
+/// before the daemon exits cleanly. The grid is cut to two benchmarks so
+/// the test stays quick in a test-profile build.
+#[test]
+fn daemon_streams_a_sweep_and_drains_it_on_sigterm() {
+    let daemon = Daemon::spawn(None);
+    let streamed_count = || counter(&metrics(daemon.addr), &["sweeps", "streamed"]);
+    let base = r#""benchmarks":["164.gzip","181.mcf"],"warmup":4000,"measure":16000"#;
+
+    let mut client = StreamingClient::post(
+        daemon.addr,
+        "/v1/sweep",
+        &format!("{{{base},\"stream\":true}}"),
+    );
+    let head = client.next_chunk().expect("head fragment");
+    // The streamed counter only ticks when a stream terminates, and this
+    // one is still open.
+    assert_eq!(
+        streamed_count(),
+        0,
+        "stream finished before its head was read"
+    );
+    let mut chunks = vec![head];
+    chunks.extend(client.drain());
+    assert_eq!(streamed_count(), 1);
+
+    let buffered = post(daemon.addr, "/v1/sweep", &format!("{{{base}}}"));
+    assert_eq!(buffered.status, 200, "body: {}", buffered.body);
+    assert_eq!(chunks.concat(), buffered.body, "streamed != buffered");
+
+    let mut client = StreamingClient::post(
+        daemon.addr,
+        "/v1/sweep",
+        r#"{"benchmarks":["164.gzip","181.mcf"],"warmup":4000,"measure":40000,"stream":true}"#,
+    );
+    let head = client.next_chunk().expect("head fragment");
+    assert_eq!(streamed_count(), 1, "second stream finished before SIGTERM");
+    daemon.sigterm();
+    let mut chunks = vec![head];
+    chunks.extend(client.drain());
+    assert!(
+        chunks.concat().contains("\"optima\""),
+        "SIGTERM truncated the in-flight stream"
+    );
+    daemon.assert_clean_exit();
 }
 
 #[test]
