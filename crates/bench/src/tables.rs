@@ -14,7 +14,7 @@ use fo4depth_study::overhead::overhead_sensitivity_with;
 use fo4depth_study::render;
 use fo4depth_study::segmented::{select_eval, window_depth_sweep};
 use fo4depth_study::sim::SimParams;
-use fo4depth_study::sweep::{depth_sweep_with, standard_points, CoreKind};
+use fo4depth_study::sweep::{depth_sweep_spec, standard_points, CoreKind, DepthSweep, SweepSpec};
 use fo4depth_workload::{profiles, BenchClass};
 
 /// The experiments the harness can regenerate.
@@ -119,7 +119,21 @@ impl Default for RunConfig {
     }
 }
 
-fn print_class_series(sweep: &fo4depth_study::sweep::DepthSweep) {
+/// The depth sweep of every benchmark over the standard clock points.
+fn standard_sweep(core: CoreKind, overhead: f64, params: &SimParams) -> DepthSweep {
+    let spec = SweepSpec {
+        core,
+        profiles: &profiles::all(),
+        params,
+        structures: &StructureSet::alpha_21264(),
+        overhead: Fo4::new(overhead),
+        points: &standard_points(),
+        observed: false,
+    };
+    depth_sweep_spec(&spec, fo4depth_exec::global())
+}
+
+fn print_class_series(sweep: &DepthSweep) {
     println!("{}", render::sweep_table(sweep));
     for class in [
         BenchClass::Integer,
@@ -234,36 +248,15 @@ pub fn run_experiment(id: ExperimentId, cfg: &RunConfig) {
             println!("{}", render::table3(&table3(&StructureSet::alpha_21264())));
         }
         ExperimentId::Figure4a => {
-            let sweep = depth_sweep_with(
-                CoreKind::InOrder,
-                &profiles::all(),
-                params,
-                &StructureSet::alpha_21264(),
-                Fo4::new(0.0),
-                &standard_points(),
-            );
+            let sweep = standard_sweep(CoreKind::InOrder, 0.0, params);
             print_class_series(&sweep);
         }
         ExperimentId::Figure4b => {
-            let sweep = depth_sweep_with(
-                CoreKind::InOrder,
-                &profiles::all(),
-                params,
-                &StructureSet::alpha_21264(),
-                Fo4::new(1.8),
-                &standard_points(),
-            );
+            let sweep = standard_sweep(CoreKind::InOrder, 1.8, params);
             print_class_series(&sweep);
         }
         ExperimentId::Figure5 => {
-            let sweep = depth_sweep_with(
-                CoreKind::OutOfOrder,
-                &profiles::all(),
-                params,
-                &StructureSet::alpha_21264(),
-                Fo4::new(1.8),
-                &standard_points(),
-            );
+            let sweep = standard_sweep(CoreKind::OutOfOrder, 1.8, params);
             print_class_series(&sweep);
             println!(
                 "\npaper optima: integer {}, vector {}, non-vector {} FO4",

@@ -27,17 +27,13 @@ fn tables_all_matches_the_committed_output() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_tables_output.txt");
     let want = std::fs::read_to_string(&path).expect("read bench_tables_output.txt");
     let got = String::from_utf8(out.stdout).expect("tables prints UTF-8");
-    if got != want {
-        let first = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "tables --all differs from bench_tables_output.txt at line {}:\n  got:  {:?}\n  want: {:?}",
-            first + 1,
-            got.lines().nth(first),
-            want.lines().nth(first),
-        );
+    let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    if let Some(i) = first_diff {
+        let (g, w) = (got.lines().nth(i), want.lines().nth(i));
+        panic!("line {} differs:\n  got:  {g:?}\n  want: {w:?}", i + 1);
     }
+    assert!(
+        got == want,
+        "tables --all differs from bench_tables_output.txt in length"
+    );
 }

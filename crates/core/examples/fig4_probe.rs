@@ -1,7 +1,7 @@
 use fo4depth_fo4::Fo4;
 use fo4depth_study::latency::StructureSet;
 use fo4depth_study::sim::SimParams;
-use fo4depth_study::sweep::{depth_sweep_with, standard_points, CoreKind};
+use fo4depth_study::sweep::{depth_sweep_spec, standard_points, CoreKind, SweepSpec};
 use fo4depth_workload::{profiles, BenchClass};
 
 fn main() {
@@ -11,14 +11,16 @@ fn main() {
         seed: 1,
     };
     for (label, ovh) in [("4a (no overhead)", 0.0), ("4b (1.8 FO4)", 1.8)] {
-        let sweep = depth_sweep_with(
-            CoreKind::InOrder,
-            &profiles::all(),
-            &params,
-            &StructureSet::alpha_21264(),
-            Fo4::new(ovh),
-            &standard_points(),
-        );
+        let spec = SweepSpec {
+            core: CoreKind::InOrder,
+            profiles: &profiles::all(),
+            params: &params,
+            structures: &StructureSet::alpha_21264(),
+            overhead: Fo4::new(ovh),
+            points: &standard_points(),
+            observed: false,
+        };
+        let sweep = depth_sweep_spec(&spec, fo4depth_exec::global());
         println!("-- Figure {label} --");
         for class in [
             BenchClass::Integer,

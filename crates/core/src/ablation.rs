@@ -13,8 +13,8 @@ use fo4depth_workload::BenchProfile;
 
 use crate::latency::{StructureSet, MEMORY_CYCLES, MEMORY_LATENCY_FO4};
 use crate::scaler::{MemoryConvention, ScaleOptions, ScaledMachine};
-use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
-use crate::sweep::{CoreKind, DepthSweep, SweepPoint};
+use crate::sim::{run_ooo, SimParams};
+use crate::sweep::{build_arenas, sweep_machines, DepthSweep};
 
 // ---------------------------------------------------------------------
 // §6 comparison: four ways to build a fast scheduler
@@ -102,11 +102,11 @@ pub struct SchedulerResult {
 #[must_use]
 pub fn scheduler_comparison(profiles: &[BenchProfile], params: &SimParams) -> Vec<SchedulerResult> {
     assert!(!profiles.is_empty(), "need benchmarks");
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
     let ipc_of = |design: SchedulerDesign| -> f64 {
         let mut cfg = CoreConfig::alpha_like();
         cfg.window = design.window();
-        let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
+        let outcomes = fo4depth_exec::global().map(&arenas, |a| run_ooo(&cfg, a, params, false));
         harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC")
     };
     let baseline = ipc_of(SchedulerDesign::IdealSingleCycle);
@@ -140,24 +140,11 @@ pub fn sweep_with_options(
     options: ScaleOptions,
 ) -> DepthSweep {
     let structures = StructureSet::alpha_21264();
-    let arenas = arenas_for(profiles, params);
-    let points = points
+    let machines: Vec<ScaledMachine> = points
         .iter()
-        .map(|&t| {
-            let machine = ScaledMachine::with_options(&structures, t, options);
-            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
-            SweepPoint {
-                t_useful: t.get(),
-                period_ps: machine.period_ps(),
-                outcomes,
-            }
-        })
+        .map(|&t| ScaledMachine::with_options(&structures, t, options))
         .collect();
-    DepthSweep {
-        core: CoreKind::OutOfOrder,
-        overhead: options.overhead.get(),
-        points,
-    }
+    sweep_machines(&machines, options.overhead, profiles, params)
 }
 
 /// Result of the memory-convention ablation: the integer optimum under
@@ -275,13 +262,14 @@ pub fn predictor_ablation(profiles: &[BenchProfile], params: &SimParams) -> Vec<
             },
         ),
     ];
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
     designs
         .into_iter()
         .map(|(label, predictor)| {
             let mut cfg = CoreConfig::alpha_like();
             cfg.predictor = predictor;
-            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
+            let outcomes =
+                fo4depth_exec::global().map(&arenas, |a| run_ooo(&cfg, a, params, false));
             PredictorPoint {
                 label: label.to_string(),
                 ipc: harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC"),
@@ -313,13 +301,14 @@ pub fn cluster_ablation(
     params: &SimParams,
     penalties: &[u64],
 ) -> Vec<ClusterPoint> {
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
     penalties
         .iter()
         .map(|&penalty| {
             let mut cfg = CoreConfig::alpha_like();
             cfg.cross_cluster_penalty = penalty;
-            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
+            let outcomes =
+                fo4depth_exec::global().map(&arenas, |a| run_ooo(&cfg, a, params, false));
             ClusterPoint {
                 penalty,
                 ipc: harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC"),
@@ -345,13 +334,14 @@ pub fn mshr_ablation(
     params: &SimParams,
     limits: &[usize],
 ) -> Vec<MshrPoint> {
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
     limits
         .iter()
         .map(|&mshr_limit| {
             let mut cfg = CoreConfig::alpha_like();
             cfg.hierarchy.mshr_limit = mshr_limit;
-            let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, params, false));
+            let outcomes =
+                fo4depth_exec::global().map(&arenas, |a| run_ooo(&cfg, a, params, false));
             MshrPoint {
                 mshr_limit,
                 ipc: harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPC"),

@@ -16,8 +16,11 @@ use fo4depth_workload::{BenchProfile, TraceArena};
 
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
-use crate::sim::{arenas_for, run_ooo, run_set, summarize, SimParams};
-use crate::sweep::{standard_points, CoreKind, DepthSweep, SweepPoint};
+use crate::sim::{run_ooo, summarize, SimParams};
+use crate::sweep::{
+    auto_lanes, build_arenas, depth_sweep_arenas_batched, run_points, CoreKind, DepthSweep,
+    SweepSpec,
+};
 
 /// Candidate D-cache capacities (bytes).
 pub const DCACHE_CANDIDATES: [u64; 4] = [16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024];
@@ -60,22 +63,6 @@ impl CapacityChoice {
     }
 }
 
-/// Mean BIPS of a capacity choice at one clock.
-fn score(
-    choice: &CapacityChoice,
-    t: Fo4,
-    overhead: Fo4,
-    arenas: &[Arc<TraceArena>],
-    params: &SimParams,
-) -> f64 {
-    let machine =
-        ScaledMachine::with_window_entries(&choice.structures(), t, overhead, choice.window);
-    let outcomes = run_set(arenas, |a| run_ooo(&machine.config, a, params, false));
-    summarize(&outcomes, None, machine.period_ps())
-        .expect("non-empty profile set")
-        .bips
-}
-
 /// Finds the per-structure best capacities at one clock point (coordinate
 /// search around the base configuration, one structure at a time — the
 /// paper's sensitivity-curve method).
@@ -86,7 +73,8 @@ pub fn optimize_at(
     profiles: &[BenchProfile],
     params: &SimParams,
 ) -> CapacityChoice {
-    optimize_at_arenas(t, overhead, &arenas_for(profiles, params), params)
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
+    optimize_at_arenas(t, overhead, &arenas, params)
 }
 
 /// [`optimize_at`] over pre-materialized arenas, so a multi-point study
@@ -97,72 +85,43 @@ fn optimize_at_arenas(
     arenas: &[Arc<TraceArena>],
     params: &SimParams,
 ) -> CapacityChoice {
+    // Mean BIPS of a capacity choice at this clock.
+    let bips_of = |choice: CapacityChoice| {
+        let machine =
+            ScaledMachine::with_window_entries(&choice.structures(), t, overhead, choice.window);
+        let outcomes =
+            fo4depth_exec::global().map(arenas, |a| run_ooo(&machine.config, a, params, false));
+        summarize(&outcomes, None, machine.period_ps())
+            .expect("non-empty profile set")
+            .bips
+    };
     let mut best = CapacityChoice::base();
-
-    let mut best_dcache = (f64::NEG_INFINITY, best.dcache);
-    for d in DCACHE_CANDIDATES {
-        let s = score(
-            &CapacityChoice { dcache: d, ..best },
-            t,
-            overhead,
-            arenas,
-            params,
-        );
-        if s > best_dcache.0 {
-            best_dcache = (s, d);
-        }
-    }
-    best.dcache = best_dcache.1;
-
-    let mut best_l2 = (f64::NEG_INFINITY, best.l2);
-    for c in L2_CANDIDATES {
-        let s = score(
-            &CapacityChoice { l2: c, ..best },
-            t,
-            overhead,
-            arenas,
-            params,
-        );
-        if s > best_l2.0 {
-            best_l2 = (s, c);
-        }
-    }
-    best.l2 = best_l2.1;
-
-    let mut best_window = (f64::NEG_INFINITY, best.window);
-    for w in WINDOW_CANDIDATES {
-        let s = score(
-            &CapacityChoice { window: w, ..best },
-            t,
-            overhead,
-            arenas,
-            params,
-        );
-        if s > best_window.0 {
-            best_window = (s, w);
-        }
-    }
-    best.window = best_window.1;
-
-    let mut best_pred = (f64::NEG_INFINITY, best.predictor);
-    for p in PREDICTOR_CANDIDATES {
-        let s = score(
-            &CapacityChoice {
-                predictor: p,
-                ..best
-            },
-            t,
-            overhead,
-            arenas,
-            params,
-        );
-        if s > best_pred.0 {
-            best_pred = (s, p);
-        }
-    }
-    best.predictor = best_pred.1;
-
+    best.dcache = best_of(&DCACHE_CANDIDATES, best.dcache, |dcache| {
+        bips_of(CapacityChoice { dcache, ..best })
+    });
+    best.l2 = best_of(&L2_CANDIDATES, best.l2, |l2| {
+        bips_of(CapacityChoice { l2, ..best })
+    });
+    best.window = best_of(&WINDOW_CANDIDATES, best.window, |window| {
+        bips_of(CapacityChoice { window, ..best })
+    });
+    best.predictor = best_of(&PREDICTOR_CANDIDATES, best.predictor, |predictor| {
+        bips_of(CapacityChoice { predictor, ..best })
+    });
     best
+}
+
+/// The first of `candidates` with the highest score, or `current` when no
+/// candidate scores above −∞.
+fn best_of<T: Copy>(candidates: &[T], current: T, score: impl Fn(T) -> f64) -> T {
+    let mut best = (f64::NEG_INFINITY, current);
+    for &c in candidates {
+        let s = score(c);
+        if s > best.0 {
+            best = (s, c);
+        }
+    }
+    best.1
 }
 
 /// Figure 7's two curves: the fixed-Alpha machine and the per-clock
@@ -199,50 +158,49 @@ impl CapacityStudy {
     }
 }
 
-/// Runs Figure 7 over the standard clock points.
-#[must_use]
-pub fn capacity_study(profiles: &[BenchProfile], params: &SimParams) -> CapacityStudy {
-    capacity_study_with(profiles, params, &standard_points())
-}
-
-/// [`capacity_study`] with explicit clock points.
+/// Runs Figure 7 at the given clock points. One arena set serves the base
+/// sweep, the capacity search and the optimized sweep.
 #[must_use]
 pub fn capacity_study_with(
     profiles: &[BenchProfile],
     params: &SimParams,
     points: &[Fo4],
 ) -> CapacityStudy {
+    let core = CoreKind::OutOfOrder;
     let overhead = Fo4::new(1.8);
-    let base = crate::sweep::depth_sweep_with(
-        CoreKind::OutOfOrder,
+    let pool = fo4depth_exec::global();
+    let arenas = build_arenas(profiles, params, pool);
+    let spec = SweepSpec {
+        core,
         profiles,
         params,
-        &StructureSet::alpha_21264(),
+        structures: &StructureSet::alpha_21264(),
         overhead,
         points,
-    );
+        observed: false,
+    };
+    let base = depth_sweep_arenas_batched(&spec, &arenas, pool, auto_lanes(core, points.len()));
 
-    let arenas = arenas_for(profiles, params);
-    let mut optimized_points = Vec::with_capacity(points.len());
-    let mut choices = Vec::with_capacity(points.len());
-    for &t in points {
-        let choice = optimize_at_arenas(t, overhead, &arenas, params);
-        let machine =
-            ScaledMachine::with_window_entries(&choice.structures(), t, overhead, choice.window);
-        let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
-        optimized_points.push(SweepPoint {
-            t_useful: t.get(),
-            period_ps: machine.period_ps(),
-            outcomes,
-        });
-        choices.push(choice);
-    }
+    let choices: Vec<CapacityChoice> = points
+        .iter()
+        .map(|&t| optimize_at_arenas(t, overhead, &arenas, params))
+        .collect();
+    let machines: Vec<ScaledMachine> = points
+        .iter()
+        .zip(&choices)
+        .map(|(&t, choice)| {
+            ScaledMachine::with_window_entries(&choice.structures(), t, overhead, choice.window)
+        })
+        .collect();
+    // The chosen DL1 and L2 sizes differ from point to point, and lanes
+    // share one prewarmed cache, so each optimized cell runs on its own.
+    let optimized = run_points(core, false, params, &machines, &arenas, pool, 1);
     CapacityStudy {
         base,
         optimized: DepthSweep {
-            core: CoreKind::OutOfOrder,
+            core,
             overhead: overhead.get(),
-            points: optimized_points,
+            points: optimized,
         },
         choices,
     }

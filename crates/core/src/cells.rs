@@ -386,7 +386,7 @@ mod tests {
 
     #[test]
     fn decompose_run_assemble_matches_direct_sweep() {
-        use crate::sweep::{depth_sweep_with, standard_points};
+        use crate::sweep::{build_arenas, depth_sweep_spec, standard_points, SweepSpec};
         let profs = vec![
             profiles::by_name("164.gzip").unwrap(),
             profiles::by_name("171.swim").unwrap(),
@@ -398,14 +398,17 @@ mod tests {
         };
         let points: Vec<Fo4> = standard_points().into_iter().take(3).collect();
         let structures = StructureSet::alpha_21264();
-        let direct = depth_sweep_with(
-            CoreKind::OutOfOrder,
-            &profs,
-            &params,
-            &structures,
-            Fo4::new(1.8),
-            &points,
-        );
+        let spec = SweepSpec {
+            core: CoreKind::OutOfOrder,
+            profiles: &profs,
+            params: &params,
+            structures: &structures,
+            overhead: Fo4::new(1.8),
+            points: &points,
+            observed: false,
+        };
+        let serial = fo4depth_exec::Pool::new(1);
+        let direct = depth_sweep_spec(&spec, &serial);
 
         let cells = sweep_cells(
             CoreKind::OutOfOrder,
@@ -417,7 +420,7 @@ mod tests {
             "alpha_21264",
         );
         assert_eq!(cells.len(), 6);
-        let arenas = crate::sim::arenas_for(&profs, &params);
+        let arenas = build_arenas(&profs, &params, &serial);
         let outcomes = cells
             .iter()
             .map(|c| {

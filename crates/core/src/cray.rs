@@ -20,21 +20,15 @@ use fo4depth_workload::{BenchClass, BenchProfile};
 
 use crate::latency::{StructureSet, ALPHA_USEFUL_FO4};
 use crate::scaler::ScaledMachine;
-use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
-use crate::sweep::{standard_points, CoreKind, DepthSweep, SweepPoint};
+use crate::sim::SimParams;
+use crate::sweep::{sweep_machines, DepthSweep};
 
 /// Absolute latency of the CRAY-like flat memory, in FO4: 12 cycles at the
 /// 17.4 FO4 Alpha reference clock.
 pub const CRAY_MEMORY_FO4: f64 = 12.0 * ALPHA_USEFUL_FO4;
 
-/// Runs the §4.2 sweep: integer benchmarks on the out-of-order core with a
-/// flat, uncached memory.
-#[must_use]
-pub fn cray_memory_sweep(profiles: &[BenchProfile], params: &SimParams) -> DepthSweep {
-    cray_memory_sweep_with(profiles, params, &standard_points())
-}
-
-/// [`cray_memory_sweep`] with explicit clock points.
+/// Runs the §4.2 sweep at the given clock points: the benchmarks on the
+/// out-of-order core with a flat, uncached memory.
 #[must_use]
 pub fn cray_memory_sweep_with(
     profiles: &[BenchProfile],
@@ -43,26 +37,16 @@ pub fn cray_memory_sweep_with(
 ) -> DepthSweep {
     let structures = StructureSet::alpha_21264();
     let overhead = Fo4::new(1.8);
-    let arenas = arenas_for(profiles, params);
-    let points = points
+    let machines: Vec<ScaledMachine> = points
         .iter()
         .map(|&t| {
             let mut machine = ScaledMachine::at(&structures, t, overhead);
             let mem_cycles = cycles_for(Fo4::new(CRAY_MEMORY_FO4), t);
             machine.config.hierarchy = HierarchyConfig::flat_memory(u64::from(mem_cycles));
-            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
-            SweepPoint {
-                t_useful: t.get(),
-                period_ps: machine.period_ps(),
-                outcomes,
-            }
+            machine
         })
         .collect();
-    DepthSweep {
-        core: CoreKind::OutOfOrder,
-        overhead: overhead.get(),
-        points,
-    }
+    sweep_machines(&machines, overhead, profiles, params)
 }
 
 /// Kunkel & Smith's gate-level optima converted to FO4 via the measured
@@ -116,14 +100,16 @@ mod tests {
         };
         let points: Vec<Fo4> = [4.0, 6.0, 11.0, 14.0].into_iter().map(Fo4::new).collect();
         let cray = cray_memory_sweep_with(&profs, &params, &points);
-        let cached = crate::sweep::depth_sweep_with(
-            CoreKind::OutOfOrder,
-            &profs,
-            &params,
-            &StructureSet::alpha_21264(),
-            Fo4::new(1.8),
-            &points,
-        );
+        let spec = crate::sweep::SweepSpec {
+            core: crate::sweep::CoreKind::OutOfOrder,
+            profiles: &profs,
+            params: &params,
+            structures: &StructureSet::alpha_21264(),
+            overhead: Fo4::new(1.8),
+            points: &points,
+            observed: false,
+        };
+        let cached = crate::sweep::depth_sweep_spec(&spec, &fo4depth_exec::Pool::new(1));
         let cray_opt = integer_optimum(&cray);
         let cached_opt = cached.class_optimum(BenchClass::Integer).0;
         assert!(

@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn headline_figures_match_serial_sweeps() {
-        use crate::sweep::depth_sweep_with;
+        use crate::sweep::{depth_sweep_spec, SweepSpec};
         use fo4depth_workload::profiles;
 
         let profs = vec![
@@ -270,14 +270,16 @@ mod tests {
         assert_eq!(figures.len(), 3);
         assert_eq!(figures[0].id, "Figure 4a");
         for f in &figures {
-            let serial = depth_sweep_with(
-                f.core,
-                &profs,
-                &params,
-                &StructureSet::alpha_21264(),
-                Fo4::new(f.overhead),
-                &points,
-            );
+            let spec = SweepSpec {
+                core: f.core,
+                profiles: &profs,
+                params: &params,
+                structures: &StructureSet::alpha_21264(),
+                overhead: Fo4::new(f.overhead),
+                points: &points,
+                observed: false,
+            };
+            let serial = depth_sweep_spec(&spec, &fo4depth_exec::Pool::new(1));
             assert_eq!(f.sweep, serial, "{} diverged from serial sweep", f.id);
         }
     }

@@ -28,12 +28,22 @@
 //! # Quick start
 //!
 //! ```no_run
-//! use fo4depth_study::{sim::SimParams, sweep};
+//! use fo4depth_fo4::Fo4;
+//! use fo4depth_study::sweep::{depth_sweep_spec, standard_points, CoreKind, SweepSpec};
+//! use fo4depth_study::{SimParams, StructureSet};
 //! use fo4depth_workload::profiles;
 //!
 //! // Reproduce Figure 5 (reduced instruction counts for illustration):
-//! let params = SimParams { warmup: 20_000, measure: 100_000, seed: 1 };
-//! let result = sweep::depth_sweep(sweep::CoreKind::OutOfOrder, &profiles::all(), &params);
+//! let spec = SweepSpec {
+//!     core: CoreKind::OutOfOrder,
+//!     profiles: &profiles::all(),
+//!     params: &SimParams { warmup: 20_000, measure: 100_000, seed: 1 },
+//!     structures: &StructureSet::alpha_21264(),
+//!     overhead: Fo4::new(1.8),
+//!     points: &standard_points(),
+//!     observed: false,
+//! };
+//! let result = depth_sweep_spec(&spec, fo4depth_exec::global());
 //! let (best, _) = result.class_optimum(fo4depth_workload::BenchClass::Integer);
 //! println!("integer optimum: {best} FO4 useful per stage");
 //! ```

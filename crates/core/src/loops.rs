@@ -18,7 +18,8 @@ use fo4depth_pipeline::{CoreConfig, WindowConfig};
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::BenchProfile;
 
-use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
+use crate::sim::{run_ooo, SimParams};
+use crate::sweep::build_arenas;
 
 /// The three §4.6 critical loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,10 +119,10 @@ pub fn critical_loops_with(
 ) -> Vec<LoopCurve> {
     assert_eq!(stretches.first(), Some(&0), "first stretch must be zero");
     let base = CoreConfig::alpha_like();
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
 
     let mean_ipc = |cfg: &CoreConfig| -> f64 {
-        let outcomes = run_set(&arenas, |a| run_ooo(cfg, a, params, false));
+        let outcomes = fo4depth_exec::global().map(&arenas, |a| run_ooo(cfg, a, params, false));
         harmonic_mean(outcomes.iter().map(|o| o.result.ipc())).expect("positive IPCs")
     };
     let baseline = mean_ipc(&base);

@@ -12,7 +12,7 @@ use fo4depth_workload::{BenchClass, BenchProfile};
 
 use crate::latency::StructureSet;
 use crate::sim::SimParams;
-use crate::sweep::{depth_sweep_with, standard_points, CoreKind, DepthSweep};
+use crate::sweep::{depth_sweep_spec, CoreKind, DepthSweep, SweepSpec};
 
 /// One overhead curve of Figure 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,18 +46,8 @@ impl OverheadCurve {
     }
 }
 
-/// Runs Figure 6: integer benchmarks, overheads 0–6 FO4.
-#[must_use]
-pub fn overhead_sensitivity(profiles: &[BenchProfile], params: &SimParams) -> Vec<OverheadCurve> {
-    overhead_sensitivity_with(
-        profiles,
-        params,
-        &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-        &standard_points(),
-    )
-}
-
-/// [`overhead_sensitivity`] with explicit overhead values and clock points.
+/// Runs Figure 6: the depth sweep at each overhead value (the paper's
+/// figure uses the integer benchmarks and overheads of 0–6 FO4).
 #[must_use]
 pub fn overhead_sensitivity_with(
     profiles: &[BenchProfile],
@@ -68,16 +58,20 @@ pub fn overhead_sensitivity_with(
     let structures = StructureSet::alpha_21264();
     overheads
         .iter()
-        .map(|&ovh| OverheadCurve {
-            overhead: ovh,
-            sweep: depth_sweep_with(
-                CoreKind::OutOfOrder,
+        .map(|&ovh| {
+            let spec = SweepSpec {
+                core: CoreKind::OutOfOrder,
                 profiles,
                 params,
-                &structures,
-                Fo4::new(ovh),
+                structures: &structures,
+                overhead: Fo4::new(ovh),
                 points,
-            ),
+                observed: false,
+            };
+            OverheadCurve {
+                overhead: ovh,
+                sweep: depth_sweep_spec(&spec, fo4depth_exec::global()),
+            }
         })
         .collect()
 }

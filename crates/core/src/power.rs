@@ -26,7 +26,8 @@ use fo4depth_workload::BenchProfile;
 
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
-use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
+use crate::sim::SimParams;
+use crate::sweep::sweep_machines;
 
 /// Energy coefficients (all in picojoules at 100 nm).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,28 +114,31 @@ pub fn power_sweep(
     energy: &EnergyModel,
 ) -> Vec<PowerPoint> {
     let structures = StructureSet::alpha_21264();
-    let arenas = arenas_for(profiles, params);
-    points
+    let overhead = Fo4::new(1.8);
+    let machines: Vec<ScaledMachine> = points
         .iter()
-        .map(|&t| {
-            let machine = ScaledMachine::at(&structures, t, Fo4::new(1.8));
-            let outcomes = run_set(&arenas, |a| run_ooo(&machine.config, a, params, false));
-
+        .map(|&t| ScaledMachine::at(&structures, t, overhead))
+        .collect();
+    let sweep = sweep_machines(&machines, overhead, profiles, params);
+    machines
+        .iter()
+        .zip(&sweep.points)
+        .map(|(machine, point)| {
             // Per-benchmark energy/instruction, then aggregate.
             let mut epi_pj = Vec::new();
             let mut bips = Vec::new();
-            for o in &outcomes {
+            for o in &point.outcomes {
                 let r = &o.result;
                 let instr = r.instructions as f64;
                 let cycles = r.cycles as f64;
                 let latch_pj =
-                    cycles * stage_ranks(&machine) * energy.datapath_bits * energy.latch_bit_pj;
+                    cycles * stage_ranks(machine) * energy.datapath_bits * energy.latch_bit_pj;
                 let struct_pj = r.loads as f64 * energy.dl1_access_pj
                     + (r.l1.misses as f64) * energy.l2_access_pj
                     + instr * (energy.window_search_pj + energy.regfile_pj);
                 let logic_pj = instr * energy.per_instruction_pj;
                 epi_pj.push((latch_pj + struct_pj + logic_pj) / instr);
-                bips.push(r.bips(machine.period_ps()));
+                bips.push(r.bips(point.period_ps));
             }
             let bips = harmonic_mean(bips.iter().copied()).expect("positive BIPS");
             let epi = epi_pj.iter().sum::<f64>() / epi_pj.len() as f64;
@@ -142,7 +146,7 @@ pub fn power_sweep(
             // pJ × 1e9/s = mW; convert to watts.
             let watts = epi * bips / 1000.0;
             PowerPoint {
-                t_useful: t.get(),
+                t_useful: point.t_useful,
                 bips,
                 watts,
                 nj_per_instruction: epi / 1000.0,

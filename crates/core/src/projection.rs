@@ -134,7 +134,7 @@ mod tests {
     fn measured_headroom_feeds_the_projection() {
         use crate::latency::StructureSet;
         use crate::sim::SimParams;
-        use crate::sweep::{depth_sweep_with, CoreKind};
+        use crate::sweep::{depth_sweep_spec, CoreKind, SweepSpec};
         use fo4depth_fo4::Fo4;
         use fo4depth_workload::profiles;
 
@@ -151,14 +151,16 @@ mod tests {
             .into_iter()
             .map(Fo4::new)
             .collect();
-        let sweep = depth_sweep_with(
-            CoreKind::OutOfOrder,
-            &profs,
-            &params,
-            &StructureSet::alpha_21264(),
-            Fo4::new(1.8),
-            &points,
-        );
+        let spec = SweepSpec {
+            core: CoreKind::OutOfOrder,
+            profiles: &profs,
+            params: &params,
+            structures: &StructureSet::alpha_21264(),
+            overhead: Fo4::new(1.8),
+            points: &points,
+            observed: false,
+        };
+        let sweep = depth_sweep_spec(&spec, fo4depth_exec::global());
         let headroom = pipelining_headroom(&sweep, BenchClass::Integer);
         // The paper's bound: at most ~2x.
         assert!(

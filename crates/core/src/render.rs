@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         use crate::sim::SimParams;
-        use crate::sweep::{depth_sweep_with, CoreKind};
+        use crate::sweep::{depth_sweep_spec, CoreKind, SweepSpec};
         use fo4depth_fo4::Fo4;
         let profs = vec![fo4depth_workload::profiles::by_name("164.gzip").unwrap()];
         let params = SimParams {
@@ -146,14 +146,16 @@ mod tests {
             measure: 2_000,
             seed: 1,
         };
-        let sweep = depth_sweep_with(
-            CoreKind::OutOfOrder,
-            &profs,
-            &params,
-            &StructureSet::alpha_21264(),
-            Fo4::new(1.8),
-            &[Fo4::new(6.0), Fo4::new(9.0)],
-        );
+        let spec = SweepSpec {
+            core: CoreKind::OutOfOrder,
+            profiles: &profs,
+            params: &params,
+            structures: &StructureSet::alpha_21264(),
+            overhead: Fo4::new(1.8),
+            points: &[Fo4::new(6.0), Fo4::new(9.0)],
+            observed: false,
+        };
+        let sweep = depth_sweep_spec(&spec, fo4depth_exec::global());
         let csv = sweep_csv(&sweep);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -21,7 +21,7 @@ use fo4depth_workload::{BenchClass, BenchProfile};
 
 use crate::latency::StructureSet;
 use crate::sim::{summarize, BenchOutcome, SimParams};
-use crate::sweep::{depth_sweep_observed, AdaptiveSweep, CoreKind, DepthSweep};
+use crate::sweep::{depth_sweep_spec, AdaptiveSweep, CoreKind, DepthSweep, SweepSpec};
 
 /// Report format version; bump on any incompatible schema change.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -256,15 +256,16 @@ pub fn generate(
     params: &SimParams,
     points: &[Fo4],
 ) -> Json {
-    let sweep = depth_sweep_observed(
+    let spec = SweepSpec {
         core,
         profiles,
         params,
-        &StructureSet::alpha_21264(),
-        Fo4::new(1.8),
+        structures: &StructureSet::alpha_21264(),
+        overhead: Fo4::new(1.8),
         points,
-    );
-    sweep_json(&sweep, params)
+        observed: true,
+    };
+    sweep_json(&depth_sweep_spec(&spec, fo4depth_exec::global()), params)
 }
 
 #[cfg(test)]

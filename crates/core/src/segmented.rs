@@ -7,7 +7,8 @@ use fo4depth_uarch::segmented::SelectMode;
 use fo4depth_util::harmonic_mean;
 use fo4depth_workload::{BenchClass, BenchProfile, TraceArena};
 
-use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
+use crate::sim::{run_ooo, SimParams};
+use crate::sweep::build_arenas;
 
 /// Figure 11: IPC (relative to a 1-stage window) of a 32-entry window
 /// pipelined into 1–10 wakeup stages, with ideal (full-window) selection.
@@ -51,7 +52,7 @@ fn class_ipc(
     if selected.is_empty() {
         return None;
     }
-    let outcomes = run_set(&selected, |a| run_ooo(cfg, a, params, false));
+    let outcomes = fo4depth_exec::global().map(&selected, |a| run_ooo(cfg, a, params, false));
     harmonic_mean(outcomes.iter().map(|o| o.result.ipc()))
 }
 
@@ -76,7 +77,7 @@ pub fn window_depth_sweep(
     .into_iter()
     .filter(|&c| profiles.iter().any(|p| p.class == c))
     .collect();
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
 
     // Absolute IPC per (stage count, class).
     let ipc_table: Vec<Vec<f64>> = stage_counts
@@ -142,7 +143,7 @@ pub fn select_eval(profiles: &[BenchProfile], params: &SimParams) -> Vec<SelectE
         stages: 4,
         select: SelectMode::figure12(),
     });
-    let arenas = arenas_for(profiles, params);
+    let arenas = build_arenas(profiles, params, fo4depth_exec::global());
     [
         BenchClass::Integer,
         BenchClass::VectorFp,

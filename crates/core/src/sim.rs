@@ -4,7 +4,7 @@
 //!
 //! Runs are driven from materialized [`TraceArena`]s: the instruction
 //! stream for each `(profile, seed)` is generated once (see
-//! [`arenas_for`]) and replayed by cursor in every simulation that needs
+//! [`build_arenas`](crate::sweep::build_arenas)) and replayed by cursor in every simulation that needs
 //! it, so sweeping many machine configurations over the same benchmark
 //! set pays the trace-synthesis cost once instead of per cell.
 
@@ -17,7 +17,7 @@ use fo4depth_pipeline::{
 use fo4depth_uarch::cache::Hierarchy;
 use fo4depth_uarch::window::WindowModel;
 use fo4depth_util::harmonic_mean;
-use fo4depth_workload::{BenchClass, BenchProfile, SharedCursor, SharedTrace, TraceArena};
+use fo4depth_workload::{BenchClass, SharedCursor, SharedTrace, TraceArena};
 
 /// Committed instructions per lane-advance step of a batched run. Lanes of
 /// a batch stay within one chunk of each other in trace position, so the
@@ -81,31 +81,6 @@ impl SimParams {
     pub fn trace_len(&self) -> usize {
         (self.warmup + self.measure) as usize + 4_096
     }
-}
-
-/// Materializes one [`TraceArena`] per profile at these parameters'
-/// seed and length, in parallel on the shared execution pool. The result
-/// is positionally aligned with `profiles` and deterministic at any pool
-/// size.
-#[must_use]
-pub fn arenas_for(profiles: &[BenchProfile], params: &SimParams) -> Vec<Arc<TraceArena>> {
-    arenas_for_on(profiles, params, fo4depth_exec::global())
-}
-
-/// [`arenas_for`] on an explicit pool.
-#[must_use]
-pub fn arenas_for_on(
-    profiles: &[BenchProfile],
-    params: &SimParams,
-    pool: &fo4depth_exec::Pool,
-) -> Vec<Arc<TraceArena>> {
-    if profiles.is_empty() {
-        return Vec::new();
-    }
-    let len = params.trace_len();
-    pool.map(profiles, |p| {
-        Arc::new(TraceArena::generate(p.clone(), params.seed, len))
-    })
 }
 
 /// One benchmark's outcome at one machine configuration.
@@ -307,22 +282,6 @@ where
         .collect()
 }
 
-/// Runs a set of simulations in parallel on the shared execution pool
-/// (they are independent and CPU-bound). `items` is typically a slice of
-/// [`Arc<TraceArena>`] from [`arenas_for`]. Results come back in input
-/// order and are bit-identical at any pool size.
-#[must_use]
-pub fn run_set<T, F>(items: &[T], run_one: F) -> Vec<BenchOutcome>
-where
-    T: Sync,
-    F: Fn(&T) -> BenchOutcome + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    fo4depth_exec::global().map(items, run_one)
-}
-
 /// Per-class aggregate of a benchmark set at one clock point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSummary {
@@ -363,11 +322,12 @@ pub fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::build_arenas;
     use fo4depth_pipeline::CoreConfig;
     use fo4depth_workload::profiles;
 
     #[test]
-    fn parallel_run_set_matches_serial() {
+    fn pooled_runs_match_serial() {
         let cfg = CoreConfig::alpha_like();
         let params = SimParams {
             warmup: 2_000,
@@ -375,8 +335,8 @@ mod tests {
             seed: 3,
         };
         let profs: Vec<_> = profiles::all().into_iter().take(4).collect();
-        let arenas = arenas_for(&profs, &params);
-        let parallel = run_set(&arenas, |a| run_ooo(&cfg, a, &params, false));
+        let arenas = build_arenas(&profs, &params, fo4depth_exec::global());
+        let parallel = fo4depth_exec::global().map(&arenas, |a| run_ooo(&cfg, a, &params, false));
         for (i, a) in arenas.iter().enumerate() {
             let serial = run_ooo(&cfg, a, &params, false);
             assert_eq!(parallel[i], serial, "{} differs", a.profile().name);
@@ -385,9 +345,7 @@ mod tests {
 
     #[test]
     fn empty_profile_set_short_circuits() {
-        assert!(arenas_for(&[], &SimParams::quick()).is_empty());
-        let out = run_set::<Arc<TraceArena>, _>(&[], |_| unreachable!("no profiles, no runs"));
-        assert!(out.is_empty());
+        assert!(build_arenas(&[], &SimParams::quick(), fo4depth_exec::global()).is_empty());
     }
 
     #[test]
@@ -496,8 +454,8 @@ mod tests {
             profiles::by_name("164.gzip").unwrap(),
             profiles::by_name("171.swim").unwrap(),
         ];
-        let arenas = arenas_for(&profs, &params);
-        let outcomes = run_set(&arenas, |a| run_ooo(&cfg, a, &params, false));
+        let arenas = build_arenas(&profs, &params, fo4depth_exec::global());
+        let outcomes = fo4depth_exec::global().map(&arenas, |a| run_ooo(&cfg, a, &params, false));
         let int = summarize(&outcomes, Some(BenchClass::Integer), 1000.0).unwrap();
         assert_eq!(int.count, 1);
         let all = summarize(&outcomes, None, 1000.0).unwrap();
@@ -509,7 +467,11 @@ mod tests {
     fn bips_scales_inversely_with_period() {
         let cfg = CoreConfig::alpha_like();
         let params = SimParams::quick();
-        let arenas = arenas_for(&[profiles::by_name("164.gzip").unwrap()], &params);
+        let arenas = build_arenas(
+            &[profiles::by_name("164.gzip").unwrap()],
+            &params,
+            fo4depth_exec::global(),
+        );
         let o = vec![run_ooo(&cfg, &arenas[0], &params, false)];
         let fast = summarize(&o, None, 500.0).unwrap();
         let slow = summarize(&o, None, 1000.0).unwrap();

@@ -14,9 +14,7 @@ use fo4depth_workload::{BenchClass, BenchProfile, TraceArena};
 use crate::adaptive::{AdaptiveConfig, AdaptivePlanner, AdaptiveStats};
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
-use crate::sim::{
-    arenas_for_on, run_inorder, run_ooo, run_ooo_batched, summarize, BenchOutcome, SimParams,
-};
+use crate::sim::{run_inorder, run_ooo, run_ooo_batched, summarize, BenchOutcome, SimParams};
 
 /// Which core model a sweep exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,21 +91,10 @@ pub fn standard_points() -> Vec<Fo4> {
     (2..=16).map(|t| Fo4::new(f64::from(t))).collect()
 }
 
-/// Runs the full depth sweep with the paper's 1.8 FO4 overhead.
-#[must_use]
-pub fn depth_sweep(core: CoreKind, profiles: &[BenchProfile], params: &SimParams) -> DepthSweep {
-    depth_sweep_with(
-        core,
-        profiles,
-        params,
-        &StructureSet::alpha_21264(),
-        Fo4::new(1.8),
-        &standard_points(),
-    )
-}
-
 /// Everything that defines a depth sweep, separated from the execution
 /// resources so callers (and tests) can run the same sweep on any pool.
+/// Run it with [`depth_sweep_spec`], the one entry for a sweep of
+/// [`ScaledMachine::at`] points (Figures 4a, 4b, 5 and 6, the report).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepSpec<'a> {
     /// Core model to exercise.
@@ -126,69 +113,64 @@ pub struct SweepSpec<'a> {
     pub observed: bool,
 }
 
-/// Runs a depth sweep with explicit structures, overhead, and points —
-/// the general entry used by Figures 4a (zero overhead), 6, and 7.
-#[must_use]
-pub fn depth_sweep_with(
-    core: CoreKind,
-    profiles: &[BenchProfile],
-    params: &SimParams,
-    structures: &StructureSet,
-    overhead: Fo4,
-    points: &[Fo4],
-) -> DepthSweep {
-    depth_sweep_spec(
-        &SweepSpec {
-            core,
-            profiles,
-            params,
-            structures,
-            overhead,
-            points,
-            observed: false,
-        },
-        fo4depth_exec::global(),
-    )
-}
-
-/// Like [`depth_sweep_with`], but every run collects stall-attribution
-/// counters, so each [`BenchOutcome`] in the sweep carries its CPI stack.
-/// Observation is read-only: BIPS curves are bit-identical to the
-/// unobserved sweep.
-#[must_use]
-pub fn depth_sweep_observed(
-    core: CoreKind,
-    profiles: &[BenchProfile],
-    params: &SimParams,
-    structures: &StructureSet,
-    overhead: Fo4,
-    points: &[Fo4],
-) -> DepthSweep {
-    depth_sweep_spec(
-        &SweepSpec {
-            core,
-            profiles,
-            params,
-            structures,
-            overhead,
-            points,
-            observed: true,
-        },
-        fo4depth_exec::global(),
-    )
+impl SweepSpec<'_> {
+    /// Runs the grid points at `indices` through [`run_points`], each
+    /// scaled with [`ScaledMachine::at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero or `arenas` is not one arena per profile,
+    /// in order.
+    fn run_indices(
+        &self,
+        indices: &[usize],
+        arenas: &[Arc<TraceArena>],
+        pool: &fo4depth_exec::Pool,
+        lanes: usize,
+    ) -> Vec<SweepPoint> {
+        assert_eq!(
+            arenas.len(),
+            self.profiles.len(),
+            "one arena per profile, in order"
+        );
+        for (arena, profile) in arenas.iter().zip(self.profiles) {
+            assert_eq!(
+                arena.profile().name,
+                profile.name,
+                "arena/profile misalignment"
+            );
+        }
+        let machines: Vec<ScaledMachine> = indices
+            .iter()
+            .map(|&pi| ScaledMachine::at(self.structures, self.points[pi], self.overhead))
+            .collect();
+        run_points(
+            self.core,
+            self.observed,
+            self.params,
+            &machines,
+            arenas,
+            pool,
+            lanes,
+        )
+    }
 }
 
 /// Materializes the sweep's benchmark traces on `pool`: one
 /// [`TraceArena`] per profile, generated in parallel, positionally aligned
 /// with `profiles`. Every `(point × benchmark)` cell of the sweep then
 /// replays these shared arenas instead of re-synthesizing the stream.
+/// Arenas are deterministic at any pool size.
 #[must_use]
 pub fn build_arenas(
     profiles: &[BenchProfile],
     params: &SimParams,
     pool: &fo4depth_exec::Pool,
 ) -> Vec<Arc<TraceArena>> {
-    arenas_for_on(profiles, params, pool)
+    let len = params.trace_len();
+    pool.map(profiles, |p| {
+        Arc::new(TraceArena::generate(p.clone(), params.seed, len))
+    })
 }
 
 /// Runs a sweep on an explicit pool. The benchmark traces are materialized
@@ -237,18 +219,11 @@ pub fn depth_sweep_arenas_batched(
     pool: &fo4depth_exec::Pool,
     lanes: usize,
 ) -> DepthSweep {
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
     let all: Vec<usize> = (0..spec.points.len()).collect();
     DepthSweep {
         core: spec.core,
         overhead: spec.overhead.get(),
-        points: run_points(spec, arenas, pool, lanes, &all),
+        points: spec.run_indices(&all, arenas, pool, lanes),
     }
 }
 
@@ -316,7 +291,7 @@ impl AdaptiveSweep {
         let missing: Vec<usize> = (0..spec.points.len())
             .filter(|i| probed.binary_search(i).is_err())
             .collect();
-        let fresh = run_points(spec, arenas, pool, lanes, &missing);
+        let fresh = spec.run_indices(&missing, arenas, pool, lanes);
         let mut fresh = fresh.into_iter();
         let mut have = self.sweep.points.iter().cloned();
         let points = (0..spec.points.len())
@@ -336,71 +311,90 @@ impl AdaptiveSweep {
     }
 }
 
-/// Simulates a subset of a sweep's grid points (by dense-grid index) over
-/// shared arenas, returning one [`SweepPoint`] per requested index, in
-/// request order. Each benchmark's requested points are split into groups
-/// of up to `lanes` points, one pool task per group, each run through
-/// [`run_grid_group`] — the dispatch every sweep shape shares, so every
-/// outcome is bitwise identical to its dense equivalent.
+/// The one dispatch every clock-point sweep of the study goes through:
+/// simulates each of `machines` on every benchmark over shared arenas and
+/// returns one [`SweepPoint`] per machine, in order, its `t_useful` and
+/// period taken from the machine. Each benchmark's machines are split into
+/// groups of up to `lanes`, one pool task per group, each run through
+/// [`run_grid_group`], so every outcome is bitwise identical to its per-cell
+/// run. A group that reaches [`MIN_BATCH_LANES`] runs as lanes, which share
+/// one prewarmed cache: pass `lanes = 1` when the machines' cache
+/// geometries differ.
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is zero or `arenas` is not one per profile.
+/// Panics if `lanes` is zero.
 pub(crate) fn run_points(
-    spec: &SweepSpec<'_>,
+    core: CoreKind,
+    observed: bool,
+    params: &SimParams,
+    machines: &[ScaledMachine],
     arenas: &[Arc<TraceArena>],
     pool: &fo4depth_exec::Pool,
     lanes: usize,
-    indices: &[usize],
 ) -> Vec<SweepPoint> {
     assert!(lanes > 0, "a batch needs at least one lane");
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
-    let machines: Vec<ScaledMachine> = indices
-        .iter()
-        .map(|&pi| ScaledMachine::at(spec.structures, spec.points[pi], spec.overhead))
-        .collect();
-    // One task per (point group × benchmark), groups major — at one lane,
-    // the points-major cell order; ragged tails (point count not divisible
-    // by `lanes`) become short groups.
-    let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..indices.len())
+    let benches = arenas.len();
+    // One task per (machine group × benchmark), groups major — at one lane,
+    // the points-major cell order; ragged tails (machine count not
+    // divisible by `lanes`) become short groups.
+    let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..machines.len())
         .step_by(lanes)
         .flat_map(|lo| {
-            let ks = lo..lo.saturating_add(lanes).min(indices.len());
-            (0..spec.profiles.len()).map(move |bi| (bi, ks.clone()))
+            let ks = lo..lo.saturating_add(lanes).min(machines.len());
+            (0..benches).map(move |bi| (bi, ks.clone()))
         })
         .collect();
     let groups = pool.map(&tasks, |(bi, ks)| {
-        let configs: Vec<&CoreConfig> = ks.clone().map(|k| &machines[k].config).collect();
-        run_grid_group(
-            spec.core,
-            spec.observed,
-            &configs,
-            &arenas[*bi],
-            spec.params,
-        )
+        let configs: Vec<&CoreConfig> = machines[ks.clone()].iter().map(|m| &m.config).collect();
+        run_grid_group(core, observed, &configs, &arenas[*bi], params)
     });
     // Scatter group results back into points-major grid order.
     let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-    grid.resize_with(indices.len() * spec.profiles.len(), || None);
+    grid.resize_with(machines.len() * benches, || None);
     for ((bi, ks), group) in tasks.into_iter().zip(groups) {
         for (k, outcome) in ks.zip(group) {
-            grid[k * spec.profiles.len() + bi] = Some(outcome);
+            grid[k * benches + bi] = Some(outcome);
         }
     }
     let mut outcomes = grid.into_iter().map(|o| o.expect("every cell filled"));
-    indices
+    machines
         .iter()
-        .zip(&machines)
-        .map(|(&pi, machine)| SweepPoint {
-            t_useful: spec.points[pi].get(),
+        .map(|machine| SweepPoint {
+            t_useful: machine.t_useful.get(),
             period_ps: machine.period_ps(),
-            outcomes: outcomes.by_ref().take(spec.profiles.len()).collect(),
+            outcomes: outcomes.by_ref().take(benches).collect(),
         })
         .collect()
+}
+
+/// Runs an out-of-order sweep of machines the caller scaled itself (the
+/// §4.2 flat memory, the scaling-option ablations, the power study):
+/// materializes the arenas on the shared pool and dispatches through
+/// [`run_points`] at [`auto_lanes`]. Every machine must share one cache
+/// geometry (see [`run_points`]).
+pub(crate) fn sweep_machines(
+    machines: &[ScaledMachine],
+    overhead: Fo4,
+    profiles: &[BenchProfile],
+    params: &SimParams,
+) -> DepthSweep {
+    let pool = fo4depth_exec::global();
+    let arenas = build_arenas(profiles, params, pool);
+    let lanes = auto_lanes(CoreKind::OutOfOrder, machines.len());
+    DepthSweep {
+        core: CoreKind::OutOfOrder,
+        overhead: overhead.get(),
+        points: run_points(
+            CoreKind::OutOfOrder,
+            false,
+            params,
+            machines,
+            &arenas,
+            pool,
+            lanes,
+        ),
+    }
 }
 
 /// Runs an adaptive sweep over pre-materialized arenas: coarse pass, then
@@ -424,13 +418,6 @@ pub fn adaptive_sweep_arenas(
     config: &AdaptiveConfig,
 ) -> AdaptiveSweep {
     assert!(!spec.profiles.is_empty(), "a sweep needs benchmarks");
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
     let mut planner = AdaptivePlanner::new(spec.points, spec.core, spec.overhead, config);
     let mut slots: Vec<Option<SweepPoint>> = vec![None; spec.points.len()];
     loop {
@@ -438,7 +425,7 @@ pub fn adaptive_sweep_arenas(
         if batch.is_empty() {
             break;
         }
-        let round = run_points(spec, arenas, pool, lanes, &batch);
+        let round = spec.run_indices(&batch, arenas, pool, lanes);
         for (&pi, point) in batch.iter().zip(round) {
             let merit = summarize(&point.outcomes, None, point.period_ps)
                 .expect("benchmarks present")
@@ -534,6 +521,20 @@ mod tests {
         [2.0, 6.0, 12.0].into_iter().map(Fo4::new).collect()
     }
 
+    /// The out-of-order sweep at 1.8 FO4 of overhead, on one thread.
+    fn ooo_sweep(profiles: &[BenchProfile], points: &[Fo4]) -> DepthSweep {
+        let spec = SweepSpec {
+            core: CoreKind::OutOfOrder,
+            profiles,
+            params: &tiny_params(),
+            structures: &StructureSet::alpha_21264(),
+            overhead: Fo4::new(1.8),
+            points,
+            observed: false,
+        };
+        depth_sweep_spec(&spec, &fo4depth_exec::Pool::new(1))
+    }
+
     #[test]
     fn sweep_produces_series_for_each_class() {
         let profs = vec![
@@ -541,14 +542,7 @@ mod tests {
             profiles::by_name("171.swim").unwrap(),
             profiles::by_name("179.art").unwrap(),
         ];
-        let sweep = depth_sweep_with(
-            CoreKind::OutOfOrder,
-            &profs,
-            &tiny_params(),
-            &StructureSet::alpha_21264(),
-            Fo4::new(1.8),
-            &some_points(),
-        );
+        let sweep = ooo_sweep(&profs, &some_points());
         assert_eq!(sweep.points.len(), 3);
         for class in [
             BenchClass::Integer,
@@ -569,14 +563,7 @@ mod tests {
         // The headline shape on a single integer benchmark: 6 FO4 beats
         // both the 2 FO4 and the 16 FO4 extremes once overhead is charged.
         let profs = vec![profiles::by_name("164.gzip").unwrap()];
-        let sweep = depth_sweep_with(
-            CoreKind::OutOfOrder,
-            &profs,
-            &tiny_params(),
-            &StructureSet::alpha_21264(),
-            Fo4::new(1.8),
-            &[Fo4::new(2.0), Fo4::new(6.0), Fo4::new(16.0)],
-        );
+        let sweep = ooo_sweep(&profs, &[Fo4::new(2.0), Fo4::new(6.0), Fo4::new(16.0)]);
         let s = sweep.series(Some(BenchClass::Integer));
         let at = |t: f64| s.iter().find(|p| p.0 == t).expect("point").1;
         assert!(at(6.0) > at(2.0), "6 FO4 {} vs 2 FO4 {}", at(6.0), at(2.0));

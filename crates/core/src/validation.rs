@@ -11,7 +11,8 @@
 use fo4depth_pipeline::CoreConfig;
 use fo4depth_workload::{profiles, BenchClass};
 
-use crate::sim::{arenas_for, run_ooo, run_set, SimParams};
+use crate::sim::{run_ooo, SimParams};
+use crate::sweep::build_arenas;
 
 /// Measured characteristics of one benchmark at the Alpha point.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,8 +91,9 @@ fn check(row: &ValidationRow, bands: &Bands) -> Option<String> {
 #[must_use]
 pub fn validate_all(params: &SimParams, bands: &Bands) -> Vec<ValidationRow> {
     let cfg = CoreConfig::alpha_like();
-    let arenas = arenas_for(&profiles::all(), params);
-    run_set(&arenas, |a| run_ooo(&cfg, a, params, false))
+    let arenas = build_arenas(&profiles::all(), params, fo4depth_exec::global());
+    fo4depth_exec::global()
+        .map(&arenas, |a| run_ooo(&cfg, a, params, false))
         .into_iter()
         .map(|o| {
             let mut row = ValidationRow {

@@ -13,7 +13,7 @@ use fo4depth::study::latency::StructureSet;
 use fo4depth::study::power::{optimum_by, power_sweep, EnergyModel};
 use fo4depth::study::projection::{pipelining_headroom, project, ProjectionInputs};
 use fo4depth::study::sim::SimParams;
-use fo4depth::study::sweep::{depth_sweep_with, CoreKind};
+use fo4depth::study::sweep::{depth_sweep_spec, CoreKind, SweepSpec};
 use fo4depth::study::wires::wire_study;
 use fo4depth::workload::{profiles, BenchClass};
 use fo4depth_fo4::Fo4;
@@ -107,14 +107,16 @@ fn main() {
     );
 
     println!("\n== §7 projection: where must performance come from? ==\n");
-    let sweep = depth_sweep_with(
-        CoreKind::OutOfOrder,
-        &int_profiles,
-        &params,
-        &StructureSet::alpha_21264(),
-        Fo4::new(1.8),
-        &pw_points,
-    );
+    let spec = SweepSpec {
+        core: CoreKind::OutOfOrder,
+        profiles: &int_profiles,
+        params: &params,
+        structures: &StructureSet::alpha_21264(),
+        overhead: Fo4::new(1.8),
+        points: &pw_points,
+        observed: false,
+    };
+    let sweep = depth_sweep_spec(&spec, fo4depth::exec::global());
     let headroom = pipelining_headroom(&sweep, BenchClass::Integer);
     let proj = project(&ProjectionInputs {
         pipelining_headroom: headroom,

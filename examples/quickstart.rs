@@ -8,9 +8,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use fo4depth::fo4::Fo4;
+use fo4depth::study::latency::StructureSet;
 use fo4depth::study::render;
 use fo4depth::study::sim::SimParams;
-use fo4depth::study::sweep::{depth_sweep, CoreKind};
+use fo4depth::study::sweep::{depth_sweep_spec, standard_points, CoreKind, SweepSpec};
 use fo4depth::workload::{profiles, BenchClass};
 
 fn main() {
@@ -27,7 +29,16 @@ fn main() {
         "Sweeping t_useful = 2..16 FO4 over {} benchmarks...\n",
         profiles::all().len()
     );
-    let sweep = depth_sweep(CoreKind::OutOfOrder, &profiles::all(), &params);
+    let spec = SweepSpec {
+        core: CoreKind::OutOfOrder,
+        profiles: &profiles::all(),
+        params: &params,
+        structures: &StructureSet::alpha_21264(),
+        overhead: Fo4::new(1.8),
+        points: &standard_points(),
+        observed: false,
+    };
+    let sweep = depth_sweep_spec(&spec, fo4depth::exec::global());
 
     println!("{}", render::sweep_table(&sweep));
 

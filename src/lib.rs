@@ -25,12 +25,22 @@
 //! # Quick start
 //!
 //! ```no_run
+//! use fo4depth::study::latency::StructureSet;
 //! use fo4depth::study::sim::SimParams;
-//! use fo4depth::study::sweep::{depth_sweep, CoreKind};
+//! use fo4depth::study::sweep::{depth_sweep_spec, standard_points, CoreKind, SweepSpec};
 //! use fo4depth::workload::{profiles, BenchClass};
+//! use fo4depth::fo4::Fo4;
 //!
-//! let params = SimParams::default();
-//! let sweep = depth_sweep(CoreKind::OutOfOrder, &profiles::all(), &params);
+//! let spec = SweepSpec {
+//!     core: CoreKind::OutOfOrder,
+//!     profiles: &profiles::all(),
+//!     params: &SimParams::default(),
+//!     structures: &StructureSet::alpha_21264(),
+//!     overhead: Fo4::new(1.8),
+//!     points: &standard_points(),
+//!     observed: false,
+//! };
+//! let sweep = depth_sweep_spec(&spec, fo4depth::exec::global());
 //! let (optimum, bips) = sweep.class_optimum(BenchClass::Integer);
 //! println!("integer optimum: {optimum} FO4 useful logic/stage ({bips:.2} BIPS)");
 //! ```

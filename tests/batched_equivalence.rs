@@ -9,8 +9,10 @@
 //! arena, every other cell runs on its own — and every shape must
 //! reproduce the
 //! per-cell sweep ([`depth_sweep_arenas`], [`CellSpec::run`]) **byte for
-//! byte**: whole sweeps at any lane count, per-benchmark lane groups, and
-//! the serve tier's cell-granular assembly — cycles, BIPS inputs,
+//! byte**: whole sweeps at any lane count, per-benchmark lane groups, the
+//! machines the study scales outside a `SweepSpec` (flat memory, scaling
+//! options, wire stages), and the serve tier's cell-granular assembly —
+//! cycles, BIPS inputs,
 //! per-cause stall counters, occupancy histograms, and the optimum depth
 //! they imply. Any divergence is localized by the shared
 //! [`common::assert_sweeps_bitwise_eq`] diagnostic down to the
@@ -18,20 +20,25 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use fo4depth::exec::Pool;
+use fo4depth::study::ablation::sweep_with_options;
 use fo4depth::study::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec};
-use fo4depth::study::latency::StructureSet;
-use fo4depth::study::scaler::ScaledMachine;
+use fo4depth::study::cray::{cray_memory_sweep_with, CRAY_MEMORY_FO4};
+use fo4depth::study::latency::{StructureSet, MEMORY_LATENCY_FO4};
+use fo4depth::study::scaler::{MemoryConvention, ScaleOptions, ScaledMachine};
 use fo4depth::study::sim::{run_ooo, run_ooo_batched, BenchOutcome, SimParams};
 use fo4depth::study::sweep::{
-    build_arenas, depth_sweep_arenas, depth_sweep_arenas_batched, depth_sweep_with, CoreKind,
-    SweepSpec, MIN_BATCH_LANES,
+    build_arenas, depth_sweep_arenas, depth_sweep_arenas_batched, depth_sweep_spec, CoreKind,
+    DepthSweep, SweepPoint, SweepSpec, MIN_BATCH_LANES,
 };
-use fo4depth::workload::{profiles, BenchProfile};
-use fo4depth_fo4::Fo4;
-use fo4depth_pipeline::WindowConfig;
+use fo4depth::workload::{profiles, BenchProfile, TraceArena};
+use fo4depth_fo4::{cycles_for, Fo4, Rounding};
+use fo4depth_pipeline::{CoreConfig, WindowConfig};
+use fo4depth_uarch::cache::HierarchyConfig;
 use fo4depth_uarch::SelectMode;
 
 /// The serve tier's structure-set tag for [`StructureSet::alpha_21264`].
@@ -155,17 +162,120 @@ fn non_conventional_windows_batch_bit_identically() {
     };
     let conventional = machine.config.clone();
     for observed in [false, true] {
-        let configs = [&segmented, &speculative, &conventional];
-        let batched = run_ooo_batched(&configs, &arenas[0], &params, observed);
-        let scalar: Vec<BenchOutcome> = configs
-            .iter()
-            .map(|cfg| run_ooo(cfg, &arenas[0], &params, observed))
-            .collect();
-        common::assert_outcomes_bitwise_eq(
+        lanes_match_cells(
             &format!("mixed-window batch, observed={observed}"),
-            &scalar,
-            &batched,
+            &[&segmented, &speculative, &conventional],
+            &arenas[0],
+            &params,
+            observed,
         );
+    }
+}
+
+/// Runs `configs` as the lanes of one batch and one by one over `arena`,
+/// asserts the two bit-identical, and returns the per-cell outcomes.
+fn lanes_match_cells(
+    context: &str,
+    configs: &[&CoreConfig],
+    arena: &Arc<TraceArena>,
+    params: &SimParams,
+    observed: bool,
+) -> Vec<BenchOutcome> {
+    let batched = run_ooo_batched(configs, arena, params, observed);
+    let scalar: Vec<BenchOutcome> = configs
+        .iter()
+        .map(|cfg| run_ooo(cfg, arena, params, observed))
+        .collect();
+    common::assert_outcomes_bitwise_eq(context, &scalar, &batched);
+    scalar
+}
+
+/// The machine kinds the study scales outside a [`SweepSpec`] reach the
+/// lanes through the shared dispatch: the §4.2 CRAY flat memory
+/// ([`cray_memory_sweep_with`]) and, through [`sweep_with_options`],
+/// absolute-time memory, nearest rounding and wire transport stages. For
+/// each kind, over a grid wide enough to run as lanes, the lane group
+/// equals per-cell runs of the same machines (observed and unobserved),
+/// and the public sweep equals the sweep assembled from those per-cell
+/// runs.
+#[test]
+fn scaled_machine_kinds_batch_bit_identically() {
+    let profs = test_profiles();
+    let params = test_params();
+    let structures = StructureSet::alpha_21264();
+    let points = spread_points(MIN_BATCH_LANES + 2);
+    let flat: Vec<ScaledMachine> = points
+        .iter()
+        .map(|&t| {
+            let mut m = ScaledMachine::at(&structures, t, Fo4::new(1.8));
+            let mem = cycles_for(Fo4::new(CRAY_MEMORY_FO4), t);
+            m.config.hierarchy = HierarchyConfig::flat_memory(u64::from(mem));
+            m
+        })
+        .collect();
+    let mut kinds = vec![(
+        "CRAY flat memory",
+        flat,
+        cray_memory_sweep_with(&profs, &params, &points),
+    )];
+    for (label, options) in [
+        (
+            "absolute-time memory",
+            ScaleOptions {
+                memory: MemoryConvention::AbsoluteTime(Fo4::new(MEMORY_LATENCY_FO4)),
+                ..ScaleOptions::default()
+            },
+        ),
+        (
+            "nearest rounding",
+            ScaleOptions {
+                rounding: Rounding::Nearest,
+                ..ScaleOptions::default()
+            },
+        ),
+        (
+            "wire transport stages",
+            ScaleOptions {
+                transport_mm: 20.0,
+                ..ScaleOptions::default()
+            },
+        ),
+    ] {
+        let machines = points
+            .iter()
+            .map(|&t| ScaledMachine::with_options(&structures, t, options))
+            .collect();
+        kinds.push((
+            label,
+            machines,
+            sweep_with_options(&profs, &params, &points, options),
+        ));
+    }
+    let arenas = build_arenas(&profs, &params, &Pool::new(1));
+    for (label, machines, sweep) in &kinds {
+        let configs: Vec<&CoreConfig> = machines.iter().map(|m| &m.config).collect();
+        let mut reference = DepthSweep {
+            core: CoreKind::OutOfOrder,
+            overhead: 1.8,
+            points: machines
+                .iter()
+                .map(|m| SweepPoint {
+                    t_useful: m.t_useful.get(),
+                    period_ps: m.period_ps(),
+                    outcomes: Vec::new(),
+                })
+                .collect(),
+        };
+        for arena in &arenas {
+            let context =
+                |observed| format!("{label}: {} observed={observed}", arena.profile().name);
+            lanes_match_cells(&context(true), &configs, arena, &params, true);
+            let scalar = lanes_match_cells(&context(false), &configs, arena, &params, false);
+            for (point, outcome) in reference.points.iter_mut().zip(scalar) {
+                point.outcomes.push(outcome);
+            }
+        }
+        common::assert_sweeps_bitwise_eq(label, &reference, sweep);
     }
 }
 
@@ -220,24 +330,26 @@ fn cell_group_matches_scalar_cells() {
 /// End-to-end through the serve tier's decomposition: `sweep_cells` →
 /// per-benchmark batched fills (with one benchmark deliberately filled by
 /// the scalar path, the warm-cache case) → `assemble_sweep` reproduces
-/// `depth_sweep_with` byte for byte. This is the full cache-tier
+/// `depth_sweep_spec` byte for byte. This is the full cache-tier
 /// round-trip the daemon performs.
 #[test]
-fn assembled_batched_cells_match_depth_sweep_with() {
+fn assembled_batched_cells_match_depth_sweep_spec() {
     let profs = test_profiles();
     let params = test_params();
     let structures = StructureSet::alpha_21264();
     let points = test_points();
     let pool = Pool::new(2);
     let arenas = build_arenas(&profs, &params, &pool);
-    let reference = depth_sweep_with(
-        CoreKind::OutOfOrder,
-        &profs,
-        &params,
-        &structures,
-        Fo4::new(1.8),
-        &points,
-    );
+    let spec = SweepSpec {
+        core: CoreKind::OutOfOrder,
+        profiles: &profs,
+        params: &params,
+        structures: &structures,
+        overhead: Fo4::new(1.8),
+        points: &points,
+        observed: false,
+    };
+    let reference = depth_sweep_spec(&spec, &pool);
     let cells = sweep_cells(
         CoreKind::OutOfOrder,
         &profs,

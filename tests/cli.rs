@@ -265,3 +265,61 @@ fn sweep_csv_emits_parseable_output() {
         }
     }
 }
+
+/// Stdout of a successful run, byte for byte.
+fn stdout_of(args: &[&str]) -> Vec<u8> {
+    let out = fo4depth().args(args).output().expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+#[test]
+fn sweep_and_report_output_is_pool_size_invariant() {
+    // Both cores' CSV sweeps and a two-benchmark quick report print the
+    // same bytes on one worker thread and on four.
+    let sweep = ["sweep", "--warmup", "2000", "--measure", "8000", "--csv"];
+    let report = ["report", "--quick", "--bench", "164.gzip,181.mcf"];
+    for base in [
+        sweep.to_vec(),
+        [&sweep[..], &["--core", "inorder"]].concat(),
+        report.to_vec(),
+    ] {
+        let one = stdout_of(&[&base[..], &["--jobs", "1"]].concat());
+        let four = stdout_of(&[&base[..], &["--jobs", "4"]].concat());
+        assert!(!one.is_empty(), "{base:?} printed nothing");
+        assert!(one == four, "{base:?} differs between --jobs 1 and 4");
+    }
+}
+
+#[test]
+fn adaptive_report_finds_the_dense_optimum() {
+    // The >= 2.5x cell saving is pinned in tests/adaptive_sweep.rs; this
+    // checks the optimum at the CLI layer.
+    let dense = [
+        "report",
+        "--bench",
+        "164.gzip",
+        "--warmup",
+        "2000",
+        "--measure",
+        "8000",
+    ];
+    let adaptive = [&dense[..], &["--sweep-mode", "adaptive"]].concat();
+    let optimum = |args: &[&str]| {
+        let out = String::from_utf8(stdout_of(args)).expect("UTF-8 report");
+        let doc = fo4depth::util::Json::parse(&out).expect("report is valid JSON");
+        doc.get("optima")
+            .and_then(|o| o.get("all"))
+            .cloned()
+            .expect("optima.all")
+    };
+    assert_eq!(
+        optimum(&adaptive),
+        optimum(&dense),
+        "adaptive optimum diverged"
+    );
+}

@@ -9,7 +9,8 @@ use fo4depth::study::experiments::PaperHeadlines;
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::scaler::ScaledMachine;
 use fo4depth::study::sim::SimParams;
-use fo4depth::study::sweep::{depth_sweep, depth_sweep_with, standard_points, CoreKind};
+use fo4depth::study::sweep::{depth_sweep_spec, standard_points, CoreKind, DepthSweep, SweepSpec};
+use fo4depth::workload::BenchProfile;
 use fo4depth::workload::{profiles, BenchClass};
 use fo4depth_fo4::Fo4;
 
@@ -21,10 +22,34 @@ fn params() -> SimParams {
     }
 }
 
+/// The depth sweep at `params()` over the Alpha structures.
+fn run_sweep(
+    core: CoreKind,
+    profiles: &[BenchProfile],
+    overhead: f64,
+    points: &[Fo4],
+) -> DepthSweep {
+    let spec = SweepSpec {
+        core,
+        profiles,
+        params: &params(),
+        structures: &StructureSet::alpha_21264(),
+        overhead: Fo4::new(overhead),
+        points,
+        observed: false,
+    };
+    depth_sweep_spec(&spec, fo4depth::exec::global())
+}
+
 #[test]
 fn figure5_out_of_order_optima() {
     let paper = PaperHeadlines::isca2002();
-    let sweep = depth_sweep(CoreKind::OutOfOrder, &profiles::all(), &params());
+    let sweep = run_sweep(
+        CoreKind::OutOfOrder,
+        &profiles::all(),
+        1.8,
+        &standard_points(),
+    );
 
     let (int_opt, int_bips) = sweep.class_optimum(BenchClass::Integer);
     assert!(
@@ -71,7 +96,12 @@ fn figure5_out_of_order_optima() {
 
 #[test]
 fn figure4b_in_order_integer_optimum() {
-    let sweep = depth_sweep(CoreKind::InOrder, &profiles::integer(), &params());
+    let sweep = run_sweep(
+        CoreKind::InOrder,
+        &profiles::integer(),
+        1.8,
+        &standard_points(),
+    );
     let (opt, _) = sweep.class_optimum(BenchClass::Integer);
     assert!(
         (opt - 6.0).abs() < 0.5,
@@ -86,14 +116,7 @@ fn figure4a_no_overhead_rewards_depth() {
     // halving t_useful is far below the ideal 2x (paper: 18% for integer
     // codes from 8 to 4 FO4).
     let points: Vec<Fo4> = [2.0, 4.0, 8.0, 16.0].into_iter().map(Fo4::new).collect();
-    let sweep = depth_sweep_with(
-        CoreKind::InOrder,
-        &profiles::integer(),
-        &params(),
-        &StructureSet::alpha_21264(),
-        Fo4::new(0.0),
-        &points,
-    );
+    let sweep = run_sweep(CoreKind::InOrder, &profiles::integer(), 0.0, &points);
     let series = sweep.series(Some(BenchClass::Integer));
     let at = |t: f64| series.iter().find(|p| p.0 == t).expect("point").1;
     assert!(at(2.0) > at(8.0), "depth must pay with zero overhead");
@@ -109,7 +132,12 @@ fn figure4a_no_overhead_rewards_depth() {
 fn two_x_headroom_over_current_designs() {
     // §1/§7: further pipelining can at best improve integer performance by
     // about a factor of two over designs at the then-current ~12-17 FO4.
-    let sweep = depth_sweep(CoreKind::OutOfOrder, &profiles::integer(), &params());
+    let sweep = run_sweep(
+        CoreKind::OutOfOrder,
+        &profiles::integer(),
+        1.8,
+        &standard_points(),
+    );
     let series = sweep.series(Some(BenchClass::Integer));
     let best = sweep.class_optimum(BenchClass::Integer).1;
     let current = series
